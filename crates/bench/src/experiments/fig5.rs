@@ -165,21 +165,27 @@ mod tests {
         );
     }
 
+    /// One bisection per radius is a single noisy sample: on a given seed
+    /// radius 2 reaches at least radius 1's speed only about half the time.
+    /// The robust form of the claim: just past radius 1's limit, radius 2
+    /// still tracks on strictly more of a dozen seeds.
     #[test]
     fn larger_signatures_track_faster() {
-        let small = max_trackable_speed(
-            &takeover_template(SimDuration::from_millis(500), 1.0, 11),
-            1,
-            0.25,
-        );
-        let large = max_trackable_speed(
-            &takeover_template(SimDuration::from_millis(500), 2.0, 11),
-            1,
-            0.25,
-        );
+        let coherent = |radius: f64| {
+            (11..=22u64)
+                .filter(|&seed| {
+                    let run = TrackingRun {
+                        speed_hops_per_s: 0.6,
+                        ..takeover_template(SimDuration::from_millis(500), radius, seed)
+                    };
+                    crate::harness::run_tracking(&run).coherent()
+                })
+                .count()
+        };
+        let (small, large) = (coherent(1.0), coherent(2.0));
         assert!(
-            large >= small,
-            "radius 2 ({large} hops/s) must track at least as fast as radius 1 ({small})"
+            large > small,
+            "at 0.6 hops/s radius 2 tracked on {large} of 12 seeds, radius 1 on {small}"
         );
     }
 }

@@ -1,15 +1,13 @@
-//! Determinism pins for the observably-equivalent implementation pairs:
+//! Determinism pin for the two observably-equivalent neighbor-table scans:
 //! a fixed-seed 2k-node tracking run must be *byte-identical* — telemetry
 //! JSONL and the run record — whether the neighbor table is built by the
-//! grid or by the all-pairs scan, and whether frames carry the binary or
-//! the JSON wire codec. Both knobs feed every downstream stream (delivery
-//! order, RNG draws, timers), so any ordering difference would show up
-//! here long before it corrupted a golden digest.
+//! grid or by the all-pairs scan. The table feeds every downstream stream
+//! (delivery order, RNG draws, timers), so any ordering difference would
+//! show up here long before it corrupted a golden digest.
 
 use envirotrack_bench::harness::tracker_program;
 use envirotrack_core::network::{NetworkConfig, SensorNetwork};
 use envirotrack_core::report::telemetry_to_jsonl;
-use envirotrack_core::wire::WireCodec;
 use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_world::grid::NeighborStrategy;
 use envirotrack_world::scenario::ScaleScenario;
@@ -21,10 +19,6 @@ const HORIZON: SimDuration = SimDuration::from_secs(3);
 const SEED: u64 = 7;
 
 fn run(strategy: NeighborStrategy) -> (String, String) {
-    run_with_codec(strategy, WireCodec::Binary)
-}
-
-fn run_with_codec(strategy: NeighborStrategy, codec: WireCodec) -> (String, String) {
     let scenario = ScaleScenario {
         nodes: 2_000,
         targets: 2,
@@ -36,7 +30,6 @@ fn run_with_codec(strategy: NeighborStrategy, codec: WireCodec) -> (String, Stri
     let mut net_cfg = NetworkConfig::default();
     net_cfg.radio = net_cfg.radio.with_comm_radius(2.5);
     net_cfg.radio.topology = strategy;
-    net_cfg.radio.codec = codec;
     let mut engine = SensorNetwork::build_engine(
         tracker_program(),
         scenario.deployment,
@@ -70,16 +63,13 @@ fn fixed_seed_2k_node_run_is_byte_identical_under_grid_and_brute_force() {
     );
 }
 
-/// The CRC trailer rides inside the canonical binary frame, so it is part
-/// of the charged airtime — and the JSON debug codec, which overrides
-/// [`Frame::wire_len`] with the canonical binary length, charges the
-/// identical (trailer-inclusive) size. If either side dropped the 4
-/// trailer bytes from its stamping, frame timing would shift and the
-/// codec byte-identity pins below would cascade.
+/// The CRC trailer rides inside the binary frame, so it is part of the
+/// charged airtime: dropping the 4 trailer bytes from [`Frame::wire_len`]
+/// would shift every frame's timing.
 ///
 /// [`Frame::wire_len`]: envirotrack_net::packet::Frame::wire_len
 #[test]
-fn airtime_charges_include_the_crc_trailer_under_either_codec() {
+fn airtime_charges_include_the_crc_trailer() {
     use envirotrack_core::context::{ContextLabel, ContextTypeId};
     use envirotrack_core::wire::{crc, Heartbeat, Message};
     use envirotrack_net::packet::Frame;
@@ -103,32 +93,9 @@ fn airtime_charges_include_the_crc_trailer_under_either_codec() {
     let (body, trailer) = bin.split_at(bin.len() - crc::TRAILER_BYTES);
     assert_eq!(trailer, crc::crc32(body).to_le_bytes());
 
-    // The frames the network builds: binary carries its own bytes; JSON
-    // carries textual bytes but stamps the canonical binary length.
-    let f_bin = Frame::broadcast(NodeId(3), msg.kind(), bin.clone());
-    let f_json = Frame::broadcast(NodeId(3), msg.kind(), msg.encode_with(WireCodec::Json))
-        .with_wire_len(bin.len() as u16);
-    assert_eq!(usize::from(f_bin.wire_len), bin.len(), "trailer missing from airtime");
-    assert_eq!(f_bin.size_bytes(), f_json.size_bytes());
-    assert_eq!(f_bin.on_air_bits(), f_json.on_air_bits());
-}
-
-#[test]
-fn fixed_seed_2k_node_run_is_byte_identical_under_binary_and_json_codecs() {
-    let (bin_telemetry, bin_record) = run_with_codec(NeighborStrategy::Grid, WireCodec::Binary);
-    let (json_telemetry, json_record) = run_with_codec(NeighborStrategy::Grid, WireCodec::Json);
-    assert!(
-        bin_telemetry.contains("group.hb"),
-        "the pin must cover live protocol traffic, not an idle field"
-    );
-    // Airtime is always charged from the canonical binary frame length, so
-    // swapping the payload encoding must not move a single event.
-    assert_eq!(
-        bin_telemetry, json_telemetry,
-        "telemetry JSONL diverged between binary and JSON wire codecs"
-    );
-    assert_eq!(
-        bin_record, json_record,
-        "run record diverged between binary and JSON wire codecs"
-    );
+    // The frame the network builds carries the encoded bytes, trailer
+    // included, and is charged for all of them.
+    let frame = Frame::broadcast(NodeId(3), msg.kind(), bin.clone());
+    assert_eq!(usize::from(frame.wire_len), bin.len(), "trailer missing from airtime");
+    assert_eq!(frame.size_bytes(), Frame::HEADER_BYTES + bin.len());
 }

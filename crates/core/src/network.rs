@@ -51,9 +51,9 @@ use std::sync::Arc;
 use bytes::Bytes;
 use envirotrack_net::medium::{
     DeliveryOutcome, DeliveryReport, GilbertElliott, LinkFaults, Medium, NetStats, RadioConfig,
-    ResolvedTx, TxId, TxKey,
+    ResolvedTx, TxKey,
 };
-use envirotrack_net::packet::{Frame, FrameKind, LinkDest, WireCodec};
+use envirotrack_net::packet::{Frame, FrameKind, LinkDest};
 use envirotrack_net::routing::GeoRouter;
 use envirotrack_node::cpu::{costs, CpuConfig, MoteCpu};
 use envirotrack_node::energy::EnergyMeter;
@@ -265,6 +265,9 @@ pub struct SensorNetwork {
     /// world drives only its owned nodes and diverts transmit requests to
     /// an outbox exchanged at epoch barriers — see [`crate::shard`].
     shard: Option<ShardState>,
+    /// Monolithic runs number every transmission they resolve (the `seq`
+    /// half of its fade key); sharded runs number per source instead.
+    next_tx_seq: u64,
 }
 
 impl std::fmt::Debug for SensorNetwork {
@@ -347,6 +350,7 @@ impl SensorNetwork {
             labels: LabelIntern::new(),
             handover_counters: RefCell::new(BTreeMap::new()),
             shard: None,
+            next_tx_seq: 0,
         }
     }
 
@@ -381,10 +385,9 @@ impl SensorNetwork {
     /// Builds one shard's replica of a sharded run: a complete world whose
     /// handlers drive only the nodes `shard_assignment` maps to
     /// `shard_idx`, with transmit requests diverted to the epoch outbox and
-    /// the medium switched to executor mode — it never resolves a transmit
-    /// side itself, only ingests the [`ResolvedTx`]es the orchestrator's
-    /// central `ChannelScheduler` routes here and resolves outcomes for
-    /// owned receivers. Drive the result through
+    /// the medium restricted to owned receivers — it never resolves a
+    /// transmit side itself, only ingests the [`ResolvedTx`]es the
+    /// orchestrator's medium routes here. Drive the result through
     /// [`crate::shard::run_sharded`], which owns the barrier protocol.
     ///
     /// # Panics
@@ -408,10 +411,12 @@ impl SensorNetwork {
             world.config.radio.comm_radius,
             shards,
         );
-        let owned: Vec<bool> = owners.iter().map(|&s| s == shard_idx).collect();
         let latency = world.config.radio.epoch_latency();
-        world.medium.enable_shard_exec(owned.clone());
-        world.shard = Some(ShardState::new(shard_idx, shards, owned, latency));
+        world
+            .medium
+            .set_owned(owners.iter().map(|&s| s == shard_idx).collect());
+        let nodes = world.nodes.len();
+        world.shard = Some(ShardState::new(shard_idx, shards, nodes, latency));
         let telemetry = world.telemetry().clone();
         let mut engine = Engine::new(world, seed);
         engine.kernel_mut().attach_telemetry(telemetry);
@@ -425,7 +430,7 @@ impl SensorNetwork {
 
     /// Whether this world drives `node` (always true for monolithic runs).
     fn owns(&self, node: NodeId) -> bool {
-        self.shard.as_ref().is_none_or(|s| s.owns(node))
+        self.medium.owns(node)
     }
 
     fn bootstrap(&mut self, k: &mut Kernel<SensorNetwork>) {
@@ -691,12 +696,6 @@ impl SensorNetwork {
         self.medium.set_link_faults(faults);
     }
 
-    /// Whether link-level fault injection is currently active.
-    #[must_use]
-    pub fn link_faults_active(&self) -> bool {
-        self.medium.link_faults_active()
-    }
-
     /// Delivers a frame straight into one node's receive path, exactly as
     /// the medium does after airtime. A corruption-corpus hook: tests
     /// build a frame (stamping [`Frame::shadow`] from the pristine
@@ -728,7 +727,9 @@ impl SensorNetwork {
     /// receiver since the last drain, for the orchestrator's global
     /// `tx_lost` settlement. Empty for monolithic worlds.
     pub fn drain_shard_delivered(&mut self) -> Vec<TxKey> {
-        self.medium.drain_delivered_keys()
+        self.shard
+            .as_mut()
+            .map_or_else(Vec::new, ShardState::drain_delivered)
     }
 
     /// Pops one emptied resolved-batch buffer for the ride back to the
@@ -746,12 +747,10 @@ impl SensorNetwork {
 
     /// Ingests the routed slice of one globally-resolved batch, in batch
     /// order. The transmit side (CSMA, MAC drops, garbling, duplication)
-    /// was already decided once by the orchestrator's `ChannelScheduler`;
-    /// this shard's executor only resolves receiver outcomes for its owned
-    /// nodes when each transmission completes. Transmit energy is charged
-    /// on the source's owning shard — which is always routed, so
-    /// self-accounting never misses. The emptied buffer is stashed for the
-    /// next epoch response.
+    /// was already decided once on the orchestrator's medium; this shard's
+    /// medium only resolves receiver outcomes for its owned nodes when each
+    /// transmission completes. The emptied buffer is stashed for the next
+    /// epoch response.
     ///
     /// # Panics
     ///
@@ -767,18 +766,7 @@ impl SensorNetwork {
             "inject_shard_resolved requires a sharded world"
         );
         for rtx in batch.drain(..) {
-            let src = rtx.frame.src;
-            if self.owns(src) {
-                // `end - start` is exactly the frame airtime: garbling
-                // never touches `wire_len`, so the on-air cost the energy
-                // model sees matches the monolithic `tx_time` charge.
-                let airtime = rtx.end - rtx.start;
-                self.nodes[src.index()].energy.charge_tx(airtime);
-            }
-            let (local, completes_at) = self.medium.ingest_resolved(rtx);
-            k.schedule_at(completes_at, move |w: &mut SensorNetwork, k| {
-                w.shard_transmission_complete(k, local);
-            });
+            self.ingest_resolved(k, rtx);
         }
         if let Some(shard) = &mut self.shard {
             shard.stash_resolved(batch);
@@ -786,7 +774,7 @@ impl SensorNetwork {
     }
 
     /// Applies one barrier-quantized fault. Channel faults install on the
-    /// central scheduler (transmit side) *and* on every shard's executor
+    /// orchestrator's medium (transmit side) *and* on every shard's medium
     /// (delivery masking, burst chains — installing is draw-free); node
     /// faults act only on the owning shard, which alone drives the node.
     pub fn apply_shard_fault(&mut self, k: &mut Kernel<SensorNetwork>, fault: &ShardFault) {
@@ -1014,18 +1002,7 @@ impl SensorNetwork {
             base_reports: self.base_log.len() as u64,
             hb_loss: stats.kind(crate::wire::kinds::HEARTBEAT).tx_loss_ratio(),
             report_loss: stats.kind(crate::wire::kinds::REPORT).tx_loss_ratio(),
-            pair_loss: {
-                let mut agg = envirotrack_net::medium::KindStats::default();
-                for ks in stats.per_kind.values() {
-                    agg.rx += ks.rx;
-                    agg.faded += ks.faded;
-                    agg.collided += ks.collided;
-                    agg.half_duplex += ks.half_duplex;
-                    agg.burst_faded += ks.burst_faded;
-                    agg.partition_dropped += ks.partition_dropped;
-                }
-                agg.pair_loss_ratio()
-            },
+            pair_loss: stats.pair_loss_ratio(),
             burst_faded: stats.sum(|k| k.burst_faded),
             partition_dropped: stats.sum(|k| k.partition_dropped),
             mac_dropped: stats.sum(|k| k.mac_dropped),
@@ -1107,7 +1084,26 @@ impl SensorNetwork {
         self.apply_actions(k, node, tid, actions);
     }
 
-    /// A transmission finished serialising: resolve deliveries.
+    /// Hands one resolved transmission to the receiver side: charges the
+    /// sender's radio energy (on its owner) and schedules the delivery step
+    /// at the completion instant.
+    fn ingest_resolved(&mut self, k: &mut Kernel<SensorNetwork>, rtx: ResolvedTx) {
+        let src = rtx.frame.src;
+        if self.owns(src) {
+            // `end - start` is exactly the frame airtime: garbling never
+            // touches `wire_len`, so the energy model sees the charged size.
+            self.nodes[src.index()].energy.charge_tx(rtx.end - rtx.start);
+        }
+        let (local, completes_at) = self.medium.ingest(rtx);
+        k.schedule_at(completes_at, move |w: &mut SensorNetwork, k| {
+            w.transmission_complete(k, local);
+        });
+    }
+
+    /// A transmission finished serialising: resolve the owned receivers'
+    /// outcomes, settle "heard by nobody", and dispatch. A monolithic world
+    /// owns every receiver, so it settles `tx_lost` itself; a shard reports
+    /// the keys its receivers heard, and the orchestrator settles the union.
     ///
     /// Broadcast frames are processed *shared*: the wire payload is
     /// decoded at most once and every receiver dispatches off the same
@@ -1115,16 +1111,14 @@ impl SensorNetwork {
     /// receiver. Unicast frames go straight to the addressed node — every
     /// other receiver would discard them at the link-destination check
     /// before touching any state, so skipping them is behaviour-identical.
-    fn transmission_complete(&mut self, k: &mut Kernel<SensorNetwork>, id: TxId) {
-        let report = self.medium.deliveries(id);
-        self.dispatch_report(k, report);
-    }
-
-    /// Executor-mode completion for sharded worlds: resolves owned-receiver
-    /// outcomes for the ingested transmission `local` and dispatches them
-    /// through the same path as the monolithic completion.
-    fn shard_transmission_complete(&mut self, k: &mut Kernel<SensorNetwork>, local: u64) {
-        let report = self.medium.exec_deliveries(local);
+    fn transmission_complete(&mut self, k: &mut Kernel<SensorNetwork>, local: u64) {
+        let report = self.medium.deliver(local);
+        match &mut self.shard {
+            Some(shard) if report.heard => shard.note_delivered(report.key),
+            Some(_) => {}
+            None if !report.heard => self.medium.note_lost(report.frame.kind),
+            None => {}
+        }
         self.dispatch_report(k, report);
     }
 
@@ -1138,23 +1132,21 @@ impl SensorNetwork {
         let passes = if report.duplicated { 2 } else { 1 };
         let mut decoded = BroadcastDecode::Pending;
         for _ in 0..passes {
+            // Outcomes cover owned receivers only: in a sharded run the
+            // owning shard replays the same transmission and dispatches there.
             match report.frame.link_dst {
                 LinkDest::Node(dst) => {
-                    // Sharded worlds dispatch only to owned receivers; the
-                    // owning shard replays the same transmission and
-                    // dispatches there.
-                    if self.owns(dst)
-                        && report
-                            .outcomes
-                            .iter()
-                            .any(|(r, o)| *r == dst && *o == DeliveryOutcome::Delivered)
+                    if report
+                        .outcomes
+                        .iter()
+                        .any(|(r, o)| *r == dst && *o == DeliveryOutcome::Delivered)
                     {
                         self.receive_frame(k, dst, report.frame.clone());
                     }
                 }
                 LinkDest::Broadcast => {
                     for (receiver, outcome) in &report.outcomes {
-                        if *outcome == DeliveryOutcome::Delivered && self.owns(*receiver) {
+                        if *outcome == DeliveryOutcome::Delivered {
                             self.receive_broadcast(k, *receiver, &report.frame, &mut decoded);
                         }
                     }
@@ -1212,7 +1204,7 @@ impl SensorNetwork {
         // on unicast frames, so none of `receive_frame`'s link
         // bookkeeping applies to a broadcast.
         if matches!(decoded, BroadcastDecode::Pending) {
-            *decoded = match Message::decode_with(self.config.radio.codec, &frame.payload) {
+            *decoded = match Message::decode(&frame.payload) {
                 Ok(m) => BroadcastDecode::Ok(m),
                 Err(_) => BroadcastDecode::Corrupt,
             };
@@ -1279,7 +1271,7 @@ impl SensorNetwork {
         // it is never acknowledged, so the sender keeps retransmitting the
         // pristine copy. That is exactly how corruption + link retx
         // recovers without a transport round trip.
-        let msg = match Message::decode_with(self.config.radio.codec, &frame.payload) {
+        let msg = match Message::decode(&frame.payload) {
             Ok(m) => m,
             Err(_) => {
                 self.note_corrupt_drop(frame.kind);
@@ -1815,9 +1807,7 @@ impl SensorNetwork {
         for action in actions {
             match action {
                 GroupAction::Broadcast(msg) => {
-                    let (payload, wire_len) = self.encode_payload(&msg);
-                    let frame =
-                        Frame::broadcast(node, msg.kind(), payload).with_wire_len(wire_len);
+                    let frame = Frame::broadcast(node, msg.kind(), msg.encode());
                     self.send_frame(k, node, frame);
                 }
                 GroupAction::ArmTimer { key, at, token } => {
@@ -2252,28 +2242,9 @@ impl SensorNetwork {
                     deliver_to,
                     inner: Box::new(inner),
                 });
-                let (payload, wire_len) = self.encode_payload(&geo);
-                let frame = Frame::unicast(from, next, geo.kind(), payload).with_wire_len(wire_len);
+                let frame = Frame::unicast(from, next, geo.kind(), geo.encode());
                 self.send_frame(k, from, frame);
             }
-        }
-    }
-
-    /// Serialises `msg` under the configured codec, returning the frame
-    /// payload plus the canonical *binary* length the radio is charged —
-    /// which includes the 4-byte CRC-32 trailer every encoded frame ends
-    /// in, so airtime charges integrity the way a real link layer does.
-    /// The charge is identical in both modes — under the JSON debug codec
-    /// the payload buffer carries the textual cross-check encoding (with
-    /// its own textual trailer), but airtime and byte counters still
-    /// reflect the canonical binary frame — so a fixed-seed run is
-    /// byte-identical whichever codec decodes it.
-    fn encode_payload(&self, msg: &Message) -> (Bytes, u16) {
-        let binary = msg.encode();
-        let wire_len = binary.len() as u16;
-        match self.config.radio.codec {
-            WireCodec::Binary => (binary, wire_len),
-            WireCodec::Json => (msg.encode_with(WireCodec::Json), wire_len),
         }
     }
 
@@ -2350,27 +2321,23 @@ impl SensorNetwork {
             return;
         }
         // Sharded runs never touch the medium mid-epoch: the request is
-        // captured and replayed on every shard at the next barrier (see
-        // `inject_shard_batch`), where it is also energy-charged.
+        // captured, resolved once by the orchestrator at the next barrier,
+        // and routed back (see `inject_shard_resolved`).
         if let Some(shard) = &mut self.shard {
             debug_assert!(
-                shard.owns(node),
+                self.medium.owns(node),
                 "only owned nodes transmit on a shard ({node})"
             );
             shard.push(k.now(), node, frame);
             return;
         }
-        let airtime = self.medium.config().tx_time(&frame);
-        match self.medium.transmit(k.now(), frame) {
-            Ok(tx) => {
-                self.nodes[node.index()].energy.charge_tx(airtime);
-                k.schedule_at(tx.completes_at, move |w: &mut SensorNetwork, k| {
-                    w.transmission_complete(k, tx.id);
-                });
-            }
-            Err(_saturated) => {
-                // Channel overload: the frame is gone; stats already count it.
-            }
+        // A monolithic world is the one-shard, zero-latency case of the same
+        // pipeline: resolve now, ingest straight back. A MAC drop (`None`)
+        // loses the frame; the stats already count it.
+        let seq = self.next_tx_seq;
+        self.next_tx_seq += 1;
+        if let Some(rtx) = self.medium.resolve(k.now(), seq, frame) {
+            self.ingest_resolved(k, rtx);
         }
     }
 }

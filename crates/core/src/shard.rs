@@ -11,27 +11,28 @@
 //! dispatch are filtered to owned nodes, so each node's protocol state
 //! machine runs on exactly one shard.
 //!
-//! The only coupling between shards is the radio channel, and it is split
-//! in two (see `envirotrack_net::medium`'s module docs):
+//! The only coupling between shards is the radio channel, whose two steps
+//! (see `envirotrack_net::medium`'s module docs) run in different places:
 //!
-//! * **Transmit side, centralised.** During an epoch no shard touches the
+//! * **Resolve, centralised.** During an epoch no shard touches the
 //!   channel: every transmit request an owned node makes is captured as an
 //!   [`OutIntent`] in the shard's outbox. At each epoch barrier the
 //!   orchestrator merges all outboxes into one batch sorted by
 //!   `(time, src, seq)` — a total order, since `seq` is a per-source
-//!   counter — and resolves it exactly once on its own
-//!   [`ChannelScheduler`]: CSMA deferral and backoff, MAC drops, link-fault
-//!   garbling/duplication/reorder, and the transmit-side statistics. Each
-//!   intent is resolved at `request_time + L`, where `L` is the epoch
-//!   length ([`envirotrack_net::medium::RadioConfig::epoch_latency`]): the
-//!   minimum frame airtime plus the receive processing delay, a lower
-//!   bound on how soon *any* frame could reach *any* receiver's handler.
-//! * **Receiver side, partitioned.** Each shard's medium runs in executor
-//!   mode: it ingests the [`ResolvedTx`]es the orchestrator routes to it
+//!   counter — and resolves it exactly once on its own [`Medium`]: CSMA
+//!   deferral and backoff, MAC drops, link-fault garbling/duplication/
+//!   reorder, and the transmit-side statistics. Each intent is resolved at
+//!   `request_time + L`, where `L` is the epoch length
+//!   ([`envirotrack_net::medium::RadioConfig::epoch_latency`]): the minimum
+//!   frame airtime plus the receive processing delay, a lower bound on how
+//!   soon *any* frame could reach *any* receiver's handler.
+//! * **Deliver, partitioned.** Each shard's medium owns only the shard's
+//!   nodes: it ingests the [`ResolvedTx`]es the orchestrator routes to it
 //!   and resolves outcomes for its **owned** receivers only, using keyed
 //!   per-pair fade draws and per-receiver burst streams so that skipping a
 //!   receiver — or never ingesting an irrelevant transmission — consumes
-//!   zero randomness.
+//!   zero randomness. Each shard reports the keys its receivers heard, and
+//!   the orchestrator settles "heard by nobody" from the union.
 //!
 //! ## Interest routing ([`MediumMode::Partitioned`])
 //!
@@ -68,19 +69,20 @@
 //! are derived at merge time from the combined scheduler + shard
 //! statistics.
 //!
-//! The uniform `+L` pipeline latency and the central scheduler make a
-//! sharded run its *own* golden family: byte-identical across shard counts
-//! and medium modes, not to the monolithic (`build_engine`) golden.
+//! A monolithic world (`build_engine`) runs the same channel core with
+//! zero latency and every node owned, so the only thing that makes a
+//! sharded run its *own* golden family is the uniform `+L` pipeline
+//! latency (and the barrier-quantized faults that come with epochs): it is
+//! byte-identical across shard counts and medium modes, not to the
+//! monolithic golden.
 //! `kernel.events` is stripped from the merged telemetry (event counts are
 //! not partition-additive), and trace events are excluded entirely.
 
 use std::collections::{BTreeMap, HashSet};
 use std::sync::{mpsc, Arc};
 
-use envirotrack_net::medium::{
-    ChannelScheduler, GilbertElliott, LinkFaults, NetStats, ResolvedTx, TxKey,
-};
-use envirotrack_net::packet::Frame;
+use envirotrack_net::medium::{GilbertElliott, LinkFaults, Medium, NetStats, ResolvedTx, TxKey};
+use envirotrack_net::packet::{Frame, FrameKind};
 use envirotrack_sim::rng::SimRng;
 use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_telemetry::Telemetry;
@@ -204,12 +206,13 @@ pub struct ShardState {
     pub shard_idx: usize,
     /// Total shard count.
     pub shards: usize,
-    /// `owned[node]`: whether this shard drives the node.
-    pub owned: Vec<bool>,
     /// The epoch length `L` (also the uniform transmit pipeline latency).
     pub latency: SimDuration,
     outbox: Vec<OutIntent>,
     next_seq: Vec<u64>,
+    /// Keys of ingested transmissions at least one owned receiver heard
+    /// intact; drained each epoch for the orchestrator's `tx_lost` verdict.
+    delivered: Vec<TxKey>,
     /// Emptied resolved-batch buffers waiting to ride back to the
     /// orchestrator for reuse.
     resolved_pool: Vec<Vec<ResolvedTx>>,
@@ -217,26 +220,29 @@ pub struct ShardState {
 }
 
 impl ShardState {
-    /// Fresh state for one shard of a run.
+    /// Fresh state for one shard of a run over `nodes` nodes.
     #[must_use]
-    pub fn new(shard_idx: usize, shards: usize, owned: Vec<bool>, latency: SimDuration) -> Self {
-        let n = owned.len();
+    pub fn new(shard_idx: usize, shards: usize, nodes: usize, latency: SimDuration) -> Self {
         ShardState {
             shard_idx,
             shards,
-            owned,
             latency,
             outbox: Vec::new(),
-            next_seq: vec![0; n],
+            next_seq: vec![0; nodes],
+            delivered: Vec::new(),
             resolved_pool: Vec::new(),
             outbox_allocs: 0,
         }
     }
 
-    /// Whether this shard drives `node`.
-    #[must_use]
-    pub fn owns(&self, node: NodeId) -> bool {
-        self.owned[node.index()]
+    /// Records that an owned receiver heard transmission `key` intact.
+    pub fn note_delivered(&mut self, key: TxKey) {
+        self.delivered.push(key);
+    }
+
+    /// Takes the keys recorded since the last drain.
+    pub fn drain_delivered(&mut self) -> Vec<TxKey> {
+        std::mem::take(&mut self.delivered)
     }
 
     /// Captures one transmit request into the outbox, stamping the next
@@ -289,8 +295,8 @@ impl ShardState {
 }
 
 /// A fault applied at an epoch barrier of a sharded run. Channel-level
-/// faults install on the central scheduler *and* on every shard's executor
-/// (scheduler: carrier sensing and garbling; executor: delivery masking
+/// faults install on the orchestrator's medium *and* on every shard's
+/// (orchestrator: carrier sensing and garbling; shards: delivery masking
 /// and burst chains); node-level faults apply only on the owning shard,
 /// because only that shard drives the node.
 #[derive(Debug, Clone)]
@@ -410,11 +416,11 @@ pub fn run_sharded(
     let mut schedule: Vec<(Timestamp, ShardFault)> = faults.to_vec();
     schedule.sort_by_key(|(t, _)| *t);
 
-    // The central transmit side: one scheduler resolving every merged
-    // intent exactly once, and — in partitioned mode — the per-source
-    // interest ranges that bound each transmission's audience.
+    // The central transmit side: one medium resolving every merged intent
+    // exactly once, and — in partitioned mode — the per-source interest
+    // ranges that bound each transmission's audience.
     let sched_rng = SimRng::seed_from(seed).fork("shard-scheduler");
-    let mut scheduler = ChannelScheduler::new(deployment, config.radio.clone(), &sched_rng);
+    let mut scheduler = Medium::new(deployment, config.radio.clone(), &sched_rng);
     let interest = match mode {
         MediumMode::Partitioned => Some(shard_interest_ranges(
             deployment,
@@ -535,6 +541,8 @@ pub fn run_sharded(
         let mut routes: Vec<Vec<ResolvedTx>> = (0..shards).map(|_| Vec::new()).collect();
         let mut route_pool: Vec<Vec<ResolvedTx>> = Vec::new();
         let mut delivered: HashSet<TxKey> = HashSet::new();
+        // Resolved transmissions awaiting their "heard by nobody" verdict.
+        let mut pending: Vec<(Timestamp, TxKey, FrameKind)> = Vec::new();
         let mut next_fault = 0usize;
         let mut last_barrier: Option<Timestamp> = None;
         let mut barrier = Timestamp::ZERO + epoch;
@@ -571,9 +579,7 @@ pub fn run_sharded(
             intents.merged += batch.len() as u64;
             // Everything completing by this barrier has had its deliveries
             // reported; settle the "heard by nobody" verdicts.
-            for key in scheduler.finalize_lost(barrier, &delivered) {
-                delivered.remove(&key);
-            }
+            settle_lost(&mut scheduler, &mut pending, &mut delivered, barrier);
             let mut due = Vec::new();
             while next_fault < schedule.len() && schedule[next_fault].0 <= barrier {
                 due.push(schedule[next_fault].1.clone());
@@ -607,6 +613,7 @@ pub fn run_sharded(
                     continue; // MAC drop, decided once for everyone
                 };
                 intents.resolved += 1;
+                pending.push((rtx.completes_at, rtx.key(), rtx.frame.kind));
                 match &interest {
                     None => {
                         intents.broadcast += shards as u64;
@@ -659,7 +666,7 @@ pub fn run_sharded(
         for out in &outputs {
             delivered.extend(out.delivered.iter().copied());
         }
-        let _ = scheduler.finalize_lost(horizon, &delivered);
+        settle_lost(&mut scheduler, &mut pending, &mut delivered, horizon);
         // The whole-run channel view: transmit side from the scheduler,
         // receiver side summed over shards (ownership partitions every
         // (transmission, receiver) pair onto exactly one shard).
@@ -671,6 +678,26 @@ pub fn run_sharded(
         }
         merge_outputs(outputs, &net, intents)
     })
+}
+
+/// Settles the "heard by nobody" verdict for every pending transmission
+/// completing at or before `up_to`: any whose key no shard reported in
+/// `delivered` counts as `tx_lost` on the orchestrator's medium.
+fn settle_lost(
+    scheduler: &mut Medium,
+    pending: &mut Vec<(Timestamp, TxKey, FrameKind)>,
+    delivered: &mut HashSet<TxKey>,
+    up_to: Timestamp,
+) {
+    pending.retain(|&(completes_at, key, kind)| {
+        if completes_at > up_to {
+            return true;
+        }
+        if !delivered.remove(&key) {
+            scheduler.note_lost(kind);
+        }
+        false
+    });
 }
 
 /// Snapshots a registry's counters and histograms into `Send`-able form.
@@ -776,18 +803,7 @@ fn merge_outputs(outputs: Vec<ShardOutput>, net: &NetStats, intents: IntentStats
     // Channel fields come from the combined view, not any single replica.
     record.hb_loss = net.kind(crate::wire::kinds::HEARTBEAT).tx_loss_ratio();
     record.report_loss = net.kind(crate::wire::kinds::REPORT).tx_loss_ratio();
-    record.pair_loss = {
-        let mut agg = envirotrack_net::medium::KindStats::default();
-        for ks in net.per_kind.values() {
-            agg.rx += ks.rx;
-            agg.faded += ks.faded;
-            agg.collided += ks.collided;
-            agg.half_duplex += ks.half_duplex;
-            agg.burst_faded += ks.burst_faded;
-            agg.partition_dropped += ks.partition_dropped;
-        }
-        agg.pair_loss_ratio()
-    };
+    record.pair_loss = net.pair_loss_ratio();
     record.burst_faded = net.sum(|k| k.burst_faded);
     record.partition_dropped = net.sum(|k| k.partition_dropped);
     record.mac_dropped = net.sum(|k| k.mac_dropped);

@@ -1,18 +1,12 @@
 //! CRC-32 integrity trailer for wire frames.
 //!
-//! Every encoded [`super::Message`] — under either codec — ends in a
+//! Every encoded [`super::Message`] ends in a 4-byte little-endian
 //! checksum of everything before it, so a receiver can reject frames the
 //! channel garbled *before* the structural decoder ever runs. This is the
 //! reflected IEEE 802.3 polynomial (`0xEDB88320`), table-driven with a
 //! compile-time table: it detects **every** single-bit error and every
 //! burst shorter than 33 bits, which is exactly the fault class the chaos
 //! medium's bit-flip/truncate injectors produce.
-//!
-//! Trailer forms (the codec chooses, so both stay self-describing):
-//!
-//! - binary: 4 raw little-endian bytes appended after the frame;
-//! - JSON debug: `#` + 8 lowercase hex digits, keeping the encoding a
-//!   single printable UTF-8 line.
 //!
 //! The trailer is part of the canonical encoding — goldens pin it, and the
 //! canonicality property (accepted bytes re-encode to themselves) still

@@ -6,9 +6,9 @@
 //! four ways: systematic truncation at *every* byte offset, forged and
 //! out-of-range type tags, overlong/non-canonical varints, and lying
 //! length prefixes — plus a 256-case seed-deterministic corruption corpus
-//! (flip/insert/delete/truncate mutations from a pinned [`SimRng`]) run
-//! against both codecs. Accepted binary inputs must additionally satisfy
-//! the canonicality property: re-encoding reproduces the input bytes.
+//! (flip/insert/delete/truncate mutations from a pinned [`SimRng`]).
+//! Accepted inputs must additionally satisfy the canonicality property:
+//! re-encoding reproduces the input bytes.
 
 use bytes::Bytes;
 use envirotrack_core::aggregate::ReadingValue;
@@ -16,7 +16,7 @@ use envirotrack_core::context::{ContextLabel, ContextTypeId};
 use envirotrack_core::transport::Port;
 use envirotrack_core::wire::{
     crc, BaseReport, DecodeError, DirQuery, DirRegister, DirResponse, DirSync, GeoForward,
-    Heartbeat, Message, MtpAck, MtpSegment, Relinquish, Report, WireCodec,
+    Heartbeat, Message, MtpAck, MtpSegment, Relinquish, Report,
 };
 use envirotrack_sim::rng::SimRng;
 use envirotrack_sim::time::Timestamp;
@@ -154,16 +154,6 @@ fn truncation_at_every_offset_errors_cleanly() {
                     "binary cut {cut}: {err:?}"
                 );
             }
-        }
-        let text = msg.encode_with(WireCodec::Json);
-        for cut in 0..text.len() {
-            // JSON truncation can surface as several error shapes; all
-            // that matters is Err, not which.
-            assert!(
-                Message::decode_with(WireCodec::Json, &text[..cut]).is_err(),
-                "json cut {cut} of {}",
-                String::from_utf8_lossy(&text)
-            );
         }
     }
 }
@@ -305,9 +295,9 @@ fn deep_geo_nesting_is_bounded_not_a_stack_overflow() {
     );
 }
 
-/// 256 seed-deterministic corruption cases per codec: mutate a valid
-/// encoding with a pinned RNG and require a clean `Ok`/`Err` — and, for
-/// binary `Ok`s, the canonical re-encode property.
+/// 256 seed-deterministic corruption cases: mutate a valid encoding with a
+/// pinned RNG and require a clean `Ok`/`Err` — and, for `Ok`s, the
+/// canonical re-encode property.
 #[test]
 fn corruption_corpus_256_never_panics() {
     let corpus = corpus();
@@ -315,35 +305,31 @@ fn corruption_corpus_256_never_panics() {
     for case in 0..256u64 {
         let mut rng = rng.fork_indexed("corruption", case);
         let msg = &corpus[(case % corpus.len() as u64) as usize];
-        for codec in [WireCodec::Binary, WireCodec::Json] {
-            let mut bytes = msg.encode_with(codec).to_vec();
-            // 1–4 mutations: flip a byte, insert junk, delete, or truncate.
-            for _ in 0..=rng.below(3) {
-                if bytes.is_empty() {
-                    break;
-                }
-                let at = rng.below(bytes.len() as u64) as usize;
-                match rng.below(4) {
-                    0 => bytes[at] ^= (rng.below(255) + 1) as u8,
-                    1 => bytes.insert(at, rng.below(256) as u8),
-                    2 => {
-                        bytes.remove(at);
-                    }
-                    _ => bytes.truncate(at),
-                }
+        let mut bytes = msg.encode().to_vec();
+        // 1–4 mutations: flip a byte, insert junk, delete, or truncate.
+        for _ in 0..=rng.below(3) {
+            if bytes.is_empty() {
+                break;
             }
-            // Corruption may cancel out or hit don't-care bytes; an
-            // accepted *binary* input must re-encode to itself. Clean
-            // rejection is the expected outcome otherwise.
-            if let Ok(m) = Message::decode_with(codec, &bytes) {
-                if codec == WireCodec::Binary {
-                    assert_eq!(
-                        m.encode().as_slice(),
-                        bytes.as_slice(),
-                        "case {case}: accepted non-canonical bytes"
-                    );
+            let at = rng.below(bytes.len() as u64) as usize;
+            match rng.below(4) {
+                0 => bytes[at] ^= (rng.below(255) + 1) as u8,
+                1 => bytes.insert(at, rng.below(256) as u8),
+                2 => {
+                    bytes.remove(at);
                 }
+                _ => bytes.truncate(at),
             }
+        }
+        // Corruption may cancel out or hit don't-care bytes; an accepted
+        // input must re-encode to itself. Clean rejection is the expected
+        // outcome otherwise.
+        if let Ok(m) = Message::decode(&bytes) {
+            assert_eq!(
+                m.encode().as_slice(),
+                bytes.as_slice(),
+                "case {case}: accepted non-canonical bytes"
+            );
         }
     }
 }

@@ -1,14 +1,13 @@
-//! Differential wire-codec properties: every [`Message`] variant must
-//! round-trip through *both* codecs — the canonical varint binary format
-//! and the JSON debug cross-check — and decode to the same value from
-//! either, including the wrap-around extremes (`u32::MAX` sequence
-//! numbers, ports, and weights) that a long-lived node eventually
-//! reaches, zero-length and unicode payloads, and float edge cases. The
+//! Wire-codec properties: every [`Message`] variant must round-trip
+//! through the varint binary format and re-encode canonically, including
+//! the wrap-around extremes (`u32::MAX` sequence numbers, ports, and
+//! weights) that a long-lived node eventually reaches, zero-length and
+//! unicode payloads, and float edge cases. The
 //! telemetry trace events must also survive the JSON-lines encoder
 //! byte-identically whatever strings they carry.
 
 use bytes::Bytes;
-use envirotrack_core::wire::{varint, WireCodec};
+use envirotrack_core::wire::varint;
 use envirotrack_core::aggregate::ReadingValue;
 use envirotrack_core::context::{ContextLabel, ContextTypeId};
 use envirotrack_core::report::telemetry_to_jsonl;
@@ -278,35 +277,14 @@ fn arb_session_msg() -> impl Strategy<Value = SessionMsg> {
 
 prop_test! {
     /// Any message from any variant — wrap-edge identifiers included —
-    /// survives encode → decode unchanged.
+    /// survives encode → decode unchanged, and re-encodes to the same
+    /// bytes (canonical binary).
     #[test]
     fn every_variant_round_trips(msg in arb_any_message()) {
         let bytes = msg.encode();
         let back = Message::decode(&bytes);
         prop_assert_eq!(back.as_ref(), Ok(&msg), "bytes: {:02x?}", &bytes[..]);
-    }
-
-    /// Differential battery: the same message round-trips through the
-    /// JSON debug codec, both codecs decode to *equal* values, the binary
-    /// form re-encodes canonically, and the binary frame never exceeds
-    /// the JSON rendering.
-    #[test]
-    fn both_codecs_agree_on_every_variant(msg in arb_any_message()) {
-        let binary = msg.encode_with(WireCodec::Binary);
-        let json = msg.encode_with(WireCodec::Json);
-        let from_binary = Message::decode_with(WireCodec::Binary, &binary);
-        let from_json = Message::decode_with(WireCodec::Json, &json);
-        prop_assert_eq!(from_binary.as_ref(), Ok(&msg));
-        prop_assert_eq!(
-            from_json.as_ref(), Ok(&msg),
-            "json: {}", String::from_utf8_lossy(&json)
-        );
-        // Canonical binary: decoding then re-encoding reproduces the bytes.
-        prop_assert_eq!(from_binary.unwrap().encode(), binary.clone());
-        prop_assert!(
-            binary.len() <= json.len(),
-            "binary {} > json {}", binary.len(), json.len()
-        );
+        prop_assert_eq!(back.unwrap().encode(), bytes.clone());
     }
 
     /// The varint toolkit round-trips any `u64`/`i64` minimally: decoding
@@ -404,17 +382,14 @@ fn u32_max_everywhere_round_trips() {
         });
         let bytes = wrapped.encode();
         assert_eq!(Message::decode(&bytes).unwrap(), wrapped);
-        // The JSON cross-check agrees even at every edge simultaneously.
-        let text = wrapped.encode_with(WireCodec::Json);
-        assert_eq!(Message::decode_with(WireCodec::Json, &text).unwrap(), wrapped);
     }
 }
 
-/// Float edge cases survive both codecs bit-exactly: `-0.0`, infinities,
+/// Float edge cases survive the codec bit-exactly: `-0.0`, infinities,
 /// subnormals, and the classic shortest-round-trip stressors. (`NaN` is
 /// checked at the primitive layer — message equality can't see it.)
 #[test]
-fn float_specials_are_bit_exact_in_both_codecs() {
+fn float_specials_are_bit_exact() {
     let specials = [
         0.0,
         -0.0,
@@ -437,15 +412,12 @@ fn float_specials_are_bit_exact_in_both_codecs() {
                 },
                 location: Point::new(x, y),
             });
-            for codec in [WireCodec::Binary, WireCodec::Json] {
-                let bytes = msg.encode_with(codec);
-                let back = Message::decode_with(codec, &bytes).unwrap();
-                let Message::DirRegister(d) = back else {
-                    panic!("wrong variant back")
-                };
-                assert_eq!(d.location.x.to_bits(), x.to_bits(), "{codec} x={x:?}");
-                assert_eq!(d.location.y.to_bits(), y.to_bits(), "{codec} y={y:?}");
-            }
+            let back = Message::decode(&msg.encode()).unwrap();
+            let Message::DirRegister(d) = back else {
+                panic!("wrong variant back")
+            };
+            assert_eq!(d.location.x.to_bits(), x.to_bits(), "x={x:?}");
+            assert_eq!(d.location.y.to_bits(), y.to_bits(), "y={y:?}");
         }
     }
 }

@@ -22,10 +22,10 @@
 //!
 //! let field = Deployment::grid(3, 3, 1.0);
 //! let mut radio = Medium::new(&field, RadioConfig::default(), &SimRng::seed_from(1));
-//! let tx = radio
-//!     .transmit(Timestamp::ZERO, Frame::broadcast(NodeId(4), FrameKind(0), Bytes::new()))
-//!     .expect("channel idle");
-//! let report = radio.deliveries(tx.id);
+//! let frame = Frame::broadcast(NodeId(4), FrameKind(0), Bytes::new());
+//! let resolved = radio.resolve(Timestamp::ZERO, 0, frame).expect("channel idle");
+//! let (tx, _completes_at) = radio.ingest(resolved);
+//! let report = radio.deliver(tx);
 //! assert_eq!(report.outcomes.len(), 8); // everyone is in range of the centre
 //! ```
 
@@ -36,8 +36,8 @@ pub mod routing;
 /// The most commonly used items, for glob import.
 pub mod prelude {
     pub use crate::medium::{
-        ChannelSaturatedError, ChannelScheduler, DeliveryOutcome, DeliveryReport, KindStats,
-        Medium, NetStats, RadioConfig, ResolvedTx, Transmission, TxId, TxKey,
+        DeliveryOutcome, DeliveryReport, KindStats, Medium, NetStats, RadioConfig, ResolvedTx,
+        TxKey,
     };
     pub use crate::packet::{Frame, FrameKind, LinkDest};
     pub use crate::routing::{GeoRouter, RoutingVoidError};

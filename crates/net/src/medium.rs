@@ -22,35 +22,47 @@
 //!   between groups, modelling an RF barrier or a split field; enforced at
 //!   carrier sensing, collision resolution and delivery alike.
 //!
-//! The medium is passive: an event handler calls [`Medium::transmit`], then
-//! schedules one engine event at the returned completion instant and calls
-//! [`Medium::deliveries`] from it, dispatching the per-receiver outcomes to
-//! the node runtimes. All randomness comes from the medium's own forked RNG,
-//! keeping runs reproducible.
+//! ## One channel core, two steps
 //!
-//! ## Sharded (partitioned-medium) execution
+//! The medium is passive, and every transmission crosses the same two
+//! steps whichever way the run is executed:
 //!
-//! Sharded runs split the channel in two, because a shard that replays only
-//! a routed *subset* of the global traffic could never reproduce the
-//! monolithic sequential RNG stream:
+//! * **Resolve** ([`Medium::resolve`], the transmit side) decides everything
+//!   about the transmission itself, exactly once: CSMA deferral with a
+//!   backoff from the sequential `radio-medium` stream, the MAC drop,
+//!   link-fault reorder slip, garbling and duplication from the
+//!   `link-faults` stream, and the transmit-side statistics. The result is
+//!   a [`ResolvedTx`].
+//! * **Deliver** (the receiver side): [`Medium::ingest`] records the
+//!   resolved channel window, and [`Medium::deliver`], called at the
+//!   completion instant, resolves collisions and half-duplex against the
+//!   ingested windows and walks the **owned** receivers only
+//!   ([`Medium::set_owned`]; a fresh medium owns every node).
 //!
-//! * **Transmit side** — one [`ChannelScheduler`], owned by the sharded
-//!   orchestrator, resolves every merged intent exactly once: CSMA deferral
-//!   and sequential backoff draws, MAC drops, link-fault garbling /
-//!   duplication / reorder slip, and the tx-side statistics. The result is
-//!   a [`ResolvedTx`] the orchestrator routes to interested shards.
-//! * **Receiver side** — each shard's medium runs in *executor* mode
-//!   ([`Medium::enable_shard_exec`]): it ingests resolved transmissions,
-//!   resolves collisions/half-duplex from its locally ingested windows, and
-//!   walks only **owned** receivers. The draw discipline that makes routed
-//!   subsets byte-identical: skipping a receiver consumes zero randomness —
-//!   fades are *keyed* draws (a pure function of `(source, seq, receiver)`
-//!   via [`SimRng::fork_indexed`]), and Gilbert–Elliott burst chains use a
-//!   dedicated per-receiver stream advanced only by that receiver's owner.
-//!   [`Medium::transmit`] refuses to run in executor mode, so the
-//!   monolithic sequential streams cannot be touched by accident.
+//! A monolithic world resolves on its own medium when a node asks to send
+//! and ingests the result straight back: zero added latency, every node
+//! owned. A sharded run resolves every merged request once on the
+//! orchestrator's medium, one pipeline latency later, and routes each
+//! [`ResolvedTx`] to the shards whose owned receivers can hear it (see
+//! `envirotrack-core`'s `shard` module).
+//!
+//! ## The keyed-draw discipline
+//!
+//! The receiver side never draws from a shared sequential stream. A fade
+//! is a *keyed* draw, a pure function of `(source, seq, receiver)`; a
+//! Gilbert–Elliott chain is a per-receiver stream advanced only when that
+//! receiver's owner walks an arrival opportunity. Skipping a receiver, or
+//! never ingesting a transmission no owned receiver can hear, therefore
+//! consumes zero randomness — which is what makes any routed subset of the
+//! traffic byte-identical to the full replay.
+//!
+//! "Heard by nobody" (`tx_lost`, the paper's message-loss metric) needs
+//! every receiver's answer. [`DeliveryReport::heard`] reports the owned
+//! receivers' part; whoever holds all of them settles the verdict with
+//! [`Medium::note_lost`] — the monolithic world at delivery, the sharded
+//! orchestrator once every shard has reported.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 use bytes::Bytes;
 use envirotrack_sim::rng::{splitmix64, SimRng};
@@ -60,7 +72,7 @@ use envirotrack_world::field::{Deployment, NodeId};
 use envirotrack_world::grid::neighbor_lists_with;
 pub use envirotrack_world::grid::NeighborStrategy;
 
-use crate::packet::{Frame, FrameKind, WireCodec};
+use crate::packet::{Frame, FrameKind};
 
 /// Radio and MAC parameters.
 #[derive(Debug, Clone)]
@@ -85,12 +97,6 @@ pub struct RadioConfig {
     /// determinism cross-check. Both yield bit-identical tables, so runs
     /// are byte-identical either way.
     pub topology: NeighborStrategy,
-    /// Which codec serialises protocol payloads. [`WireCodec::Binary`]
-    /// (the default) is the canonical on-air format; [`WireCodec::Json`]
-    /// keeps a textual debug path whose runs must stay byte-identical to
-    /// binary ones (airtime is always charged from the canonical binary
-    /// size — see [`Frame::wire_len`]).
-    pub codec: WireCodec,
 }
 
 impl Default for RadioConfig {
@@ -106,7 +112,6 @@ impl Default for RadioConfig {
             backoff_max: SimDuration::from_millis(4),
             proc_delay: SimDuration::from_millis(2),
             topology: NeighborStrategy::Grid,
-            codec: WireCodec::Binary,
         }
     }
 }
@@ -117,13 +122,6 @@ impl RadioConfig {
     pub fn with_comm_radius(mut self, r: f64) -> Self {
         assert!(r > 0.0, "communication radius must be positive");
         self.comm_radius = r;
-        self
-    }
-
-    /// Sets the payload codec; chainable.
-    #[must_use]
-    pub fn with_codec(mut self, codec: WireCodec) -> Self {
-        self.codec = codec;
         self
     }
 
@@ -276,10 +274,6 @@ impl LinkFaults {
     }
 }
 
-/// Identifies one in-flight transmission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TxId(u64);
-
 /// What happened to one (transmission, receiver) pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeliveryOutcome {
@@ -297,46 +291,22 @@ pub enum DeliveryOutcome {
     PartitionDrop,
 }
 
-/// Returned by [`Medium::transmit`]: when to collect the deliveries.
-#[derive(Debug, Clone, Copy)]
-pub struct Transmission {
-    /// Handle to pass to [`Medium::deliveries`].
-    pub id: TxId,
-    /// Instant at which receivers finish decoding (schedule the delivery
-    /// event here).
-    pub completes_at: Timestamp,
-}
-
-/// Error returned when the MAC layer drops a frame before transmission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChannelSaturatedError {
-    /// How long the frame would have had to wait.
-    pub needed_defer: SimDuration,
-}
-
-impl std::fmt::Display for ChannelSaturatedError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "channel busy beyond the defer bound (needed {})",
-            self.needed_defer
-        )
-    }
-}
-
-impl std::error::Error for ChannelSaturatedError {}
-
-/// The outcome set of one completed transmission.
+/// The outcome set of one delivery step.
 #[derive(Debug, Clone)]
 pub struct DeliveryReport {
+    /// The transmission's global identity.
+    pub key: TxKey,
     /// The transmitted frame — payload possibly garbled by the link-fault
     /// injector (compare [`Frame::payload_is_pristine`]).
     pub frame: Frame,
-    /// Per-receiver outcomes, in ascending node-id order.
+    /// Per-receiver outcomes for the owned receivers, in ascending node-id
+    /// order.
     pub outcomes: Vec<(NodeId, DeliveryOutcome)>,
     /// The link duplicated this frame: the receiver stack must process the
     /// outcome set a second time (dedup layers are what's under test).
     pub duplicated: bool,
+    /// At least one owned receiver got the frame intact.
+    pub heard: bool,
 }
 
 impl DeliveryReport {
@@ -347,18 +317,6 @@ impl DeliveryReport {
             .filter(|(_, o)| *o == DeliveryOutcome::Delivered)
             .map(|(n, _)| *n)
     }
-}
-
-#[derive(Debug, Clone)]
-struct TxRecord {
-    id: TxId,
-    src: NodeId,
-    start: Timestamp,
-    end: Timestamp,
-    frame: Frame,
-    /// Set once `deliveries` has resolved this transmission; only resolved
-    /// records may be pruned.
-    resolved: bool,
 }
 
 /// Per-frame-kind delivery statistics.
@@ -389,12 +347,6 @@ pub struct KindStats {
     /// link header included), from the canonical [`Frame::wire_len`] — the
     /// per-kind share of `NetStats::total_bits`.
     pub bytes_on_air: u64,
-    /// Bytes of payload *buffer* carried by this kind's frames. Equal to
-    /// the payload share of `bytes_on_air` under the binary codec; under
-    /// the JSON debug codec this is what the textual encoding would have
-    /// cost, making binary-vs-JSON frame sizes directly comparable on the
-    /// same message stream.
-    pub payload_bytes: u64,
     /// Transmissions garbled by the link-fault injector (bit flips and/or
     /// truncation). Receivers must reject every one of these at the CRC
     /// check — the accepted-corrupt invariant audits exactly that.
@@ -425,8 +377,11 @@ impl KindStats {
     /// running on one mote experiences, matching Table 1 of the paper.
     #[must_use]
     pub fn pair_loss_ratio(&self) -> f64 {
-        let lost =
-            self.faded + self.collided + self.half_duplex + self.burst_faded + self.partition_dropped;
+        let lost = self.faded
+            + self.collided
+            + self.half_duplex
+            + self.burst_faded
+            + self.partition_dropped;
         let total = self.rx + lost;
         if total == 0 {
             0.0
@@ -436,7 +391,7 @@ impl KindStats {
     }
 
     /// Adds another snapshot's counts into this one. Sharded runs use this
-    /// to combine the scheduler's transmit-side stats with every shard's
+    /// to combine the orchestrator's transmit-side stats with every shard's
     /// receiver-side stats into one whole-run view.
     pub fn absorb(&mut self, other: &KindStats) {
         self.tx += other.tx;
@@ -449,7 +404,6 @@ impl KindStats {
         self.burst_faded += other.burst_faded;
         self.partition_dropped += other.partition_dropped;
         self.bytes_on_air += other.bytes_on_air;
-        self.payload_bytes += other.payload_bytes;
         self.corrupted += other.corrupted;
         self.duplicated += other.duplicated;
         self.reordered += other.reordered;
@@ -483,18 +437,22 @@ impl NetStats {
         self.per_kind.values().map(f).sum()
     }
 
+    /// Receiver-side loss ratio over every kind (see
+    /// [`KindStats::pair_loss_ratio`]).
+    #[must_use]
+    pub fn pair_loss_ratio(&self) -> f64 {
+        let mut all = KindStats::default();
+        for ks in self.per_kind.values() {
+            all.absorb(ks);
+        }
+        all.pair_loss_ratio()
+    }
+
     /// Total bytes serialised on air across every kind (preamble + header
     /// + canonical payload), the Table-1 "bytes actually sent" number.
     #[must_use]
     pub fn bytes_on_air(&self) -> u64 {
         self.sum(|k| k.bytes_on_air)
-    }
-
-    /// Total payload-buffer bytes across every kind (see
-    /// [`KindStats::payload_bytes`]).
-    #[must_use]
-    pub fn payload_bytes(&self) -> u64 {
-        self.sum(|k| k.payload_bytes)
     }
 
     /// Worst-case broadcast-channel utilisation over `elapsed`: total bits
@@ -568,9 +526,8 @@ fn garble_payload(frame: &mut Frame, f: &LinkFaults, rng: &mut SimRng) -> bool {
 
 /// Deterministic 64-bit key for one `(transmission, receiver)` fade draw:
 /// a double-[`splitmix64`] mix of `(source, seq, receiver)`. A pure
-/// function of the pair, so every shard — in either medium mode — derives
-/// the same fade stream for the same pair, and skipping a pair consumes
-/// nothing.
+/// function of the pair, so every medium that walks the pair derives the
+/// same fade, and skipping a pair consumes nothing.
 fn fade_mix(key: TxKey, v: NodeId) -> u64 {
     let mut s = (u64::from(key.0) << 32) ^ u64::from(v.0);
     let a = splitmix64(&mut s);
@@ -578,10 +535,45 @@ fn fade_mix(key: TxKey, v: NodeId) -> u64 {
     splitmix64(&mut s2)
 }
 
-/// One transmission ingested by a shard executor: the resolved channel
-/// window plus a local handle for the completion event.
+/// Globally unique identity of one transmission:
+/// `(source node id, sequence number)`. Sharded runs number each source's
+/// requests; a monolithic world numbers all of its transmissions.
+pub type TxKey = (u32, u64);
+
+/// One transmission resolved by [`Medium::resolve`]: the channel window
+/// plus every transmit-side random decision, computed exactly once so any
+/// set of receiver-side media can replay the delivery identically.
 #[derive(Debug, Clone)]
-struct ExecWindow {
+pub struct ResolvedTx {
+    /// Sequence number (second half of [`ResolvedTx::key`]).
+    pub seq: u64,
+    /// The frame as it left the transmit side — payload possibly garbled
+    /// by the link-fault injector (every receiver shares the same garbled
+    /// bytes), the charged [`Frame::wire_len`] always pristine.
+    pub frame: Frame,
+    /// When the first bit hits the channel (after CSMA defer + backoff).
+    pub start: Timestamp,
+    /// When the last bit leaves the channel.
+    pub end: Timestamp,
+    /// When receivers finish decoding (processing delay plus any reorder
+    /// slip); schedule the delivery event here.
+    pub completes_at: Timestamp,
+    /// The link duplicated this transmission: receivers process the
+    /// outcome set twice.
+    pub duplicated: bool,
+}
+
+impl ResolvedTx {
+    /// The transmission's global identity.
+    #[must_use]
+    pub fn key(&self) -> TxKey {
+        (self.frame.src.0, self.seq)
+    }
+}
+
+/// One ingested transmission awaiting (or past) its delivery step.
+#[derive(Debug, Clone)]
+struct Window {
     local: u64,
     key: TxKey,
     start: Timestamp,
@@ -591,52 +583,49 @@ struct ExecWindow {
     resolved: bool,
 }
 
-/// Per-shard executor state (see the [module docs](self)): the medium
-/// stops being a transmit-side channel — the orchestrator's
-/// [`ChannelScheduler`] resolved that once, globally — and becomes a
-/// receiver-side executor over this shard's owned nodes only.
-#[derive(Debug)]
-struct ExecState {
-    /// Which nodes this shard resolves receptions for.
-    owned: Vec<bool>,
-    /// Base stream for keyed per-`(transmission, receiver)` fade draws.
-    fade_base: SimRng,
-    /// Base stream the per-receiver burst chains fork from.
-    burst_base: SimRng,
-    /// Per-receiver Gilbert–Elliott streams, rebuilt on every burst-model
-    /// install so the chain is a deterministic function of the install
-    /// point — identical on every shard in every mode.
-    burst_rngs: Vec<SimRng>,
-    windows: Vec<ExecWindow>,
-    next_local: u64,
-    /// Keys of ingested transmissions at least one owned receiver heard
-    /// intact; drained each epoch so the scheduler can finalise `tx_lost`
-    /// globally.
-    delivered_keys: Vec<TxKey>,
+/// One receiver's Gilbert–Elliott chain: its Good/Bad state and the
+/// dedicated stream only that receiver's deliveries advance.
+#[derive(Debug, Clone)]
+struct BurstChain {
+    bad: bool,
+    rng: SimRng,
 }
 
 /// The shared broadcast radio channel. See the [module docs](self).
 pub struct Medium {
     config: RadioConfig,
     neighbors: Vec<Vec<NodeId>>,
-    active: Vec<TxRecord>,
-    next_tx: u64,
-    rng: SimRng,
     stats: NetStats,
-    /// Records older than this horizon can no longer affect any delivery.
+    /// Windows older than this horizon can no longer affect any outcome.
     prune_horizon: SimDuration,
     /// Partition group per node; links between different groups are severed.
     partition: Option<Vec<u8>>,
-    /// Optional burst-loss model with per-receiver Good/Bad state
-    /// (`true` = Bad). The chain uses its own forked RNG so installing or
-    /// removing it never perturbs the baseline fading stream.
-    burst: Option<(GilbertElliott, Vec<bool>)>,
-    burst_rng: SimRng,
+    /// Transmit side: `(source, end)` of every resolved transmission still
+    /// inside the horizon — what carrier sensing defers behind.
+    busy: Vec<(NodeId, Timestamp)>,
+    /// Sequential CSMA backoff stream (`radio-medium`).
+    backoff_rng: SimRng,
     /// Optional link-level fault injector (corruption, duplication,
-    /// reordering). Like the burst chain it draws from its own forked RNG,
-    /// so installing it never disturbs the baseline streams.
+    /// reordering), drawing from its own `link-faults` stream so
+    /// installing it never disturbs the backoff draws.
     faults: Option<LinkFaults>,
     fault_rng: SimRng,
+    /// Receiver side: which nodes this medium resolves receptions for.
+    owned: Vec<bool>,
+    /// Ingested transmissions, in ingestion order.
+    windows: Vec<Window>,
+    next_local: u64,
+    /// Reused buffer for `deliver`: sources of the windows overlapping the
+    /// one being delivered.
+    overlapping: Vec<NodeId>,
+    /// Base stream for the keyed per-pair fade draws.
+    fade_rng: SimRng,
+    /// Base stream the per-receiver burst chains derive from.
+    burst_rng: SimRng,
+    /// Optional burst-loss model with one chain per receiver, rebuilt anew
+    /// at every install so the chains are a deterministic function of the
+    /// install point.
+    burst: Option<(GilbertElliott, Vec<BurstChain>)>,
     /// When enabled, every intact (src, dst) delivery is appended here for
     /// the invariant monitor to audit (e.g. "nothing crosses a partition").
     delivery_log: Option<Vec<(Timestamp, NodeId, NodeId)>>,
@@ -648,21 +637,14 @@ pub struct Medium {
     kind_counters: Vec<Option<KindCounters>>,
     /// Recycled outcome buffers handed back via [`Medium::recycle`].
     outcome_pool: Vec<Vec<(NodeId, DeliveryOutcome)>>,
-    /// Fresh outcome-buffer allocations made by `deliveries`; stays flat in
+    /// Fresh outcome-buffer allocations made by `deliver`; stays flat in
     /// steady state when callers recycle their reports.
     outcome_allocs: u64,
-    /// Base stream the shard-executor keyed draws fork from. Forked
-    /// unconditionally in [`Medium::new`] so enabling executor mode never
-    /// perturbs the monolithic streams and is identical on every shard.
-    exec_base: SimRng,
-    /// Shard-executor state; `Some` switches the medium into receiver-side
-    /// executor mode (see the [module docs](self)).
-    exec: Option<ExecState>,
 }
 
 impl Medium {
-    /// Builds a medium over `deployment` with the given parameters, deriving
-    /// its randomness stream from `rng`.
+    /// Builds a medium over `deployment` with the given parameters, owning
+    /// every receiver, and derives its randomness streams from `rng`.
     #[must_use]
     pub fn new(deployment: &Deployment, config: RadioConfig, rng: &SimRng) -> Self {
         let neighbors = neighbor_lists_with(deployment, config.comm_radius, config.topology);
@@ -673,26 +655,30 @@ impl Medium {
             "neighbor lists must be strictly ascending by node id"
         );
         let prune_horizon = config.max_defer + config.proc_delay + SimDuration::from_secs(1);
+        // Renaming these labels would move every sharded run's bytes.
+        let receiver_rng = rng.fork("shard-exec");
         Medium {
             config,
+            owned: vec![true; neighbors.len()],
             neighbors,
-            active: Vec::new(),
-            next_tx: 0,
-            rng: rng.fork("radio-medium"),
             stats: NetStats::default(),
             prune_horizon,
             partition: None,
-            burst: None,
-            burst_rng: rng.fork("radio-burst"),
+            busy: Vec::new(),
+            backoff_rng: rng.fork("radio-medium"),
             faults: None,
             fault_rng: rng.fork("link-faults"),
+            windows: Vec::new(),
+            next_local: 0,
+            overlapping: Vec::new(),
+            fade_rng: receiver_rng.fork("fade").fork("pair"),
+            burst_rng: receiver_rng.fork("burst").fork("rx"),
+            burst: None,
             delivery_log: None,
             telemetry: Telemetry::new(),
             kind_counters: Vec::new(),
             outcome_pool: Vec::new(),
             outcome_allocs: 0,
-            exec_base: rng.fork("shard-exec"),
-            exec: None,
         }
     }
 
@@ -713,21 +699,13 @@ impl Medium {
         if self.kind_counters.len() <= i {
             self.kind_counters.resize(i + 1, None);
         }
-        if self.kind_counters[i].is_none() {
-            self.kind_counters[i] = Some(KindCounters {
-                tx: self.telemetry.counter_handle(&format!("net.k{}.tx", kind.0)),
-                lost: self
-                    .telemetry
-                    .counter_handle(&format!("net.k{}.lost", kind.0)),
-                mac_drop: self
-                    .telemetry
-                    .counter_handle(&format!("net.k{}.mac_drop", kind.0)),
-                bytes: self
-                    .telemetry
-                    .counter_handle(&format!("net.k{}.bytes", kind.0)),
-            });
-        }
-        self.kind_counters[i].as_ref().expect("just filled")
+        let telemetry = &self.telemetry;
+        self.kind_counters[i].get_or_insert_with(|| KindCounters {
+            tx: telemetry.counter_handle(&format!("net.k{}.tx", kind.0)),
+            lost: telemetry.counter_handle(&format!("net.k{}.lost", kind.0)),
+            mac_drop: telemetry.counter_handle(&format!("net.k{}.mac_drop", kind.0)),
+            bytes: telemetry.counter_handle(&format!("net.k{}.bytes", kind.0)),
+        })
     }
 
     /// The radio configuration.
@@ -747,6 +725,27 @@ impl Medium {
     pub fn in_range(&self, a: NodeId, b: NodeId) -> bool {
         // Neighbor lists are built ascending by id (asserted in `new`).
         self.neighbors[a.index()].binary_search(&b).is_ok()
+    }
+
+    /// Restricts the receiver side to `owned` nodes: deliveries walk only
+    /// those receivers (a shard's share of the field).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `owned` does not cover every node.
+    pub fn set_owned(&mut self, owned: Vec<bool>) {
+        assert_eq!(
+            owned.len(),
+            self.neighbors.len(),
+            "ownership mask must cover every node"
+        );
+        self.owned = owned;
+    }
+
+    /// Whether this medium resolves receptions for `node`.
+    #[must_use]
+    pub fn owns(&self, node: NodeId) -> bool {
+        self.owned[node.index()]
     }
 
     /// Installs (or clears) a partition mask: `groups[i]` is node `i`'s
@@ -776,48 +775,24 @@ impl Medium {
     /// Whether the link `a`↔`b` is severed by the active partition.
     #[must_use]
     pub fn partitioned(&self, a: NodeId, b: NodeId) -> bool {
-        match &self.partition {
-            Some(g) => g[a.index()] != g[b.index()],
-            None => false,
-        }
+        severed(self.partition.as_deref(), a, b)
     }
 
-    /// Installs (or clears) the Gilbert–Elliott burst-loss model. Receiver
-    /// states start Good; the chain draws from a dedicated RNG stream, so
-    /// the baseline fading sequence is unaffected either way.
-    ///
-    /// In shard-executor mode the chains are per-receiver streams rebuilt
-    /// from scratch at every install (a deterministic function of the
-    /// install point, identical on every shard in every medium mode), and
-    /// each chain advances only when that receiver's owner processes an
-    /// arrival opportunity.
+    /// Installs (or clears) the Gilbert–Elliott burst-loss model. Every
+    /// receiver starts Good with a fresh chain stream, so the chains are a
+    /// deterministic function of the install point, and each advances only
+    /// when that receiver's owner walks an arrival opportunity.
     pub fn set_burst_loss(&mut self, model: Option<GilbertElliott>) {
         self.burst = model.map(|m| {
             m.validate();
-            (m, vec![false; self.neighbors.len()])
+            let chains = (0..self.neighbors.len() as u64)
+                .map(|v| BurstChain {
+                    bad: false,
+                    rng: self.burst_rng.indexed(v),
+                })
+                .collect();
+            (m, chains)
         });
-        self.rebuild_exec_burst();
-    }
-
-    /// (Re)derives the per-receiver burst streams for executor mode.
-    fn rebuild_exec_burst(&mut self) {
-        let n = self.neighbors.len();
-        let burst_on = self.burst.is_some();
-        if let Some(exec) = &mut self.exec {
-            exec.burst_rngs = if burst_on {
-                (0..n)
-                    .map(|v| exec.burst_base.fork_indexed("rx", v as u64))
-                    .collect()
-            } else {
-                Vec::new()
-            };
-        }
-    }
-
-    /// Whether a burst-loss model is currently installed.
-    #[must_use]
-    pub fn burst_loss_active(&self) -> bool {
-        self.burst.is_some()
     }
 
     /// Installs (or clears) the link-level fault injector.
@@ -826,12 +801,6 @@ impl Medium {
             f.validate();
         }
         self.faults = faults;
-    }
-
-    /// Whether the link-fault injector is currently installed.
-    #[must_use]
-    pub fn link_faults_active(&self) -> bool {
-        self.faults.is_some()
     }
 
     /// Enables or disables the delivery audit log (disabled by default; the
@@ -854,82 +823,64 @@ impl Medium {
         }
     }
 
-    /// Starts transmitting `frame` at `now`.
-    ///
-    /// Returns the transmission handle and completion instant; the caller
-    /// must schedule an event there and call [`Medium::deliveries`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ChannelSaturatedError`] when CSMA deferral would exceed the
-    /// configured bound; the frame is dropped and counted in the stats.
-    pub fn transmit(
-        &mut self,
-        now: Timestamp,
-        frame: Frame,
-    ) -> Result<Transmission, ChannelSaturatedError> {
-        assert!(
-            self.exec.is_none(),
-            "transmit bypassed the ChannelScheduler in shard-executor mode; \
-             sharded intents must be resolved centrally and ingested"
-        );
-        self.prune(now);
+    /// The transmit side: resolves one transmission requested at `now`,
+    /// exactly once — CSMA deferral and backoff, the MAC drop, link-fault
+    /// reorder slip, garbling and duplication, and the transmit-side
+    /// statistics. Returns `None` on a MAC drop (counted in the stats).
+    /// Requests must arrive in nondecreasing `now` order; `(frame.src, seq)`
+    /// must be unique, since it keys every fade draw of the delivery.
+    pub fn resolve(&mut self, now: Timestamp, seq: u64, mut frame: Frame) -> Option<ResolvedTx> {
+        let horizon = self.prune_horizon;
+        self.busy.retain(|&(_, end)| end + horizon > now);
         let mut start = now;
         if self.config.csma {
             // Sense every in-progress or deferred transmission audible at
             // the sender, and start after the latest of them.
             let mut busy_until = now;
-            for rec in &self.active {
-                let audible = rec.src == frame.src
-                    || (self.in_range(rec.src, frame.src)
-                        && !self.partitioned(rec.src, frame.src));
-                if audible && rec.end > busy_until {
-                    busy_until = rec.end;
+            for &(src, end) in &self.busy {
+                let audible = src == frame.src
+                    || (self.in_range(src, frame.src) && !self.partitioned(src, frame.src));
+                if audible && end > busy_until {
+                    busy_until = end;
                 }
             }
             if busy_until > now {
                 let backoff = SimDuration::from_micros(
-                    self.rng.below(self.config.backoff_max.as_micros().max(1)),
+                    self.backoff_rng
+                        .below(self.config.backoff_max.as_micros().max(1)),
                 );
                 start = busy_until + backoff;
             }
-            let defer = start.saturating_since(now);
-            if defer > self.config.max_defer {
+            if start.saturating_since(now) > self.config.max_defer {
                 self.kind_stats_mut(frame.kind).mac_dropped += 1;
                 self.kind_counters(frame.kind).mac_drop.incr();
-                return Err(ChannelSaturatedError {
-                    needed_defer: defer,
-                });
+                return None;
             }
         }
         let tx_time = self.config.tx_time(&frame);
         let end = start + tx_time;
-        let id = TxId(self.next_tx);
-        self.next_tx += 1;
-
         self.stats.total_tx += 1;
         self.stats.total_bits += frame.on_air_bits();
         self.stats.busy_time += tx_time;
-        // Charged bytes come from the canonical wire length (identical under
-        // both codecs); payload_bytes is the in-memory buffer (larger under
-        // the JSON debug codec), kept out of telemetry so fixed-seed runs
-        // stay byte-identical across codecs.
         let charged = frame.on_air_bits() / 8;
         {
             let ks = self.kind_stats_mut(frame.kind);
             ks.tx += 1;
             ks.bytes_on_air += charged;
-            ks.payload_bytes += frame.payload.len() as u64;
         }
         let kc = self.kind_counters(frame.kind);
         kc.tx.incr();
         kc.bytes.add(charged);
 
-        // Bounded reordering: the frame still occupies the channel over
-        // [start, end] (collisions and CSMA see the truth), but the
-        // receiver-side *processing* instant slips by a bounded random
-        // extra, letting frames sent later complete first.
+        // Link faults, drawn in a fixed order (reorder slip, garbling,
+        // duplication). Reordering keeps the frame on the channel over
+        // [start, end] — collisions and CSMA see the truth — but slips the
+        // receiver-side processing instant, letting later frames overtake.
+        // Garbling degrades the radio signal itself, so every receiver
+        // shares the garbled copy; `frame.shadow` keeps the sender's
+        // pristine hash so acceptance of a garbled frame stays detectable.
         let mut extra = SimDuration::ZERO;
+        let mut duplicated = false;
         if let Some(f) = self.faults {
             if f.reorder > 0.0 && self.fault_rng.chance(f.reorder) {
                 extra = SimDuration::from_micros(
@@ -937,49 +888,6 @@ impl Medium {
                 );
                 self.kind_stats_mut(frame.kind).reordered += 1;
             }
-        }
-
-        self.active.push(TxRecord {
-            id,
-            src: frame.src,
-            start,
-            end,
-            frame,
-            resolved: false,
-        });
-        Ok(Transmission {
-            id,
-            completes_at: end + self.config.proc_delay + extra,
-        })
-    }
-
-    /// Resolves the per-receiver outcomes of a completed transmission.
-    ///
-    /// Must be called exactly once per successful [`Medium::transmit`], at
-    /// (or after) the returned completion instant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is unknown or already resolved.
-    pub fn deliveries(&mut self, id: TxId) -> DeliveryReport {
-        let idx = self
-            .active
-            .iter()
-            .position(|r| r.id == id)
-            .expect("unknown or already-resolved transmission id");
-        let (src, start, end, mut frame) = {
-            let r = &self.active[idx];
-            (r.src, r.start, r.end, r.frame.clone())
-        };
-
-        // Link-fault injection: garble the transmission (all receivers of a
-        // broadcast share the garbled copy — the radio signal itself is what
-        // degrades) and/or mark it for duplicate processing. `frame.shadow`
-        // keeps the sender's pristine hash, so acceptance of a garbled frame
-        // is detectable downstream. Airtime was already charged at transmit
-        // from the pristine `wire_len`, which truncation must not rewrite.
-        let mut duplicated = false;
-        if let Some(f) = self.faults {
             if garble_payload(&mut frame, &f, &mut self.fault_rng) {
                 self.kind_stats_mut(frame.kind).corrupted += 1;
             }
@@ -988,169 +896,31 @@ impl Medium {
                 self.kind_stats_mut(frame.kind).duplicated += 1;
             }
         }
-
-        // Walk the neighbour list by index instead of cloning it: the loop
-        // body needs `&mut self` (RNG, burst chain, stats), so an iterator
-        // borrow would conflict, but a fresh `Vec` per broadcast — even an
-        // empty one for isolated transmitters — is pure heap churn on the
-        // hottest path in the simulator.
-        let mut outcomes = match self.outcome_pool.pop() {
-            Some(buf) => buf,
-            None => {
-                self.outcome_allocs += 1;
-                Vec::new()
-            }
-        };
-        let receiver_count = self.neighbors[src.index()].len();
-        outcomes.reserve(receiver_count);
-        // Tally per-kind stats locally and fold them into the BTreeMap once
-        // at the end, rather than one map lookup per receiver.
-        let mut tally = KindStats::default();
-        let mut any_delivered = false;
-        for i in 0..receiver_count {
-            let v = self.neighbors[src.index()][i];
-            let outcome = if self.partitioned(src, v) {
-                DeliveryOutcome::PartitionDrop
-            } else {
-                self.receiver_outcome(src, v, start, end)
-            };
-            let outcome = match outcome {
-                DeliveryOutcome::Delivered if self.rng.chance(self.config.base_loss) => {
-                    DeliveryOutcome::Faded
-                }
-                o => o,
-            };
-            // The Gilbert–Elliott chain (when installed) advances once per
-            // arrival opportunity and can turn a surviving delivery into a
-            // burst loss; it draws from its own RNG stream.
-            let outcome = match (&mut self.burst, outcome) {
-                (Some((model, states)), o) if o != DeliveryOutcome::PartitionDrop => {
-                    let bad = &mut states[v.index()];
-                    let flip = if *bad {
-                        model.p_bad_to_good
-                    } else {
-                        model.p_good_to_bad
-                    };
-                    if self.burst_rng.chance(flip) {
-                        *bad = !*bad;
-                    }
-                    let loss = if *bad { model.loss_bad } else { model.loss_good };
-                    if o == DeliveryOutcome::Delivered && self.burst_rng.chance(loss) {
-                        DeliveryOutcome::BurstFaded
-                    } else {
-                        o
-                    }
-                }
-                (_, o) => o,
-            };
-            match outcome {
-                DeliveryOutcome::Delivered => {
-                    any_delivered = true;
-                    tally.rx += 1;
-                    if let Some(log) = &mut self.delivery_log {
-                        log.push((end, src, v));
-                    }
-                }
-                DeliveryOutcome::Collided => tally.collided += 1,
-                DeliveryOutcome::HalfDuplex => tally.half_duplex += 1,
-                DeliveryOutcome::Faded => tally.faded += 1,
-                DeliveryOutcome::BurstFaded => tally.burst_faded += 1,
-                DeliveryOutcome::PartitionDrop => tally.partition_dropped += 1,
-            }
-            outcomes.push((v, outcome));
-        }
-        if !any_delivered {
-            tally.tx_lost = 1;
-        }
-        let ks = self.kind_stats_mut(frame.kind);
-        ks.rx += tally.rx;
-        ks.collided += tally.collided;
-        ks.half_duplex += tally.half_duplex;
-        ks.faded += tally.faded;
-        ks.burst_faded += tally.burst_faded;
-        ks.partition_dropped += tally.partition_dropped;
-        ks.tx_lost += tally.tx_lost;
-        if !any_delivered {
-            self.kind_counters(frame.kind).lost.incr();
-        }
-        self.active[idx].resolved = true;
-        DeliveryReport {
+        self.busy.push((frame.src, end));
+        Some(ResolvedTx {
+            seq,
             frame,
-            outcomes,
+            start,
+            end,
+            completes_at: end + self.config.proc_delay + extra,
             duplicated,
-        }
+        })
     }
 
-    /// Hands a delivery report's outcome buffer back for reuse, so the next
-    /// [`Medium::deliveries`] call pops it instead of allocating. Optional —
-    /// skipping it only costs one allocation per broadcast.
-    pub fn recycle(&mut self, report: DeliveryReport) {
-        let mut buf = report.outcomes;
-        if self.outcome_pool.len() < OUTCOME_POOL_CAP {
-            buf.clear();
-            self.outcome_pool.push(buf);
-        }
-    }
-
-    /// Fresh outcome-buffer allocations `deliveries` has made so far. With
-    /// recycling in steady state this stays pinned at the number of reports
-    /// simultaneously in flight (one, for the event-driven network stack).
-    #[must_use]
-    pub fn outcome_buffer_allocs(&self) -> u64 {
-        self.outcome_allocs
-    }
-
-    /// Switches this medium into shard-executor mode (see the
-    /// [module docs](self)): [`Medium::transmit`] is disabled, and the
-    /// medium instead ingests [`ResolvedTx`]es from the orchestrator's
-    /// [`ChannelScheduler`] and resolves receptions for `owned` nodes only.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `owned` does not cover every node.
-    pub fn enable_shard_exec(&mut self, owned: Vec<bool>) {
-        assert_eq!(
-            owned.len(),
-            self.neighbors.len(),
-            "ownership mask must cover every node"
-        );
-        self.exec = Some(ExecState {
-            owned,
-            fade_base: self.exec_base.fork("fade"),
-            burst_base: self.exec_base.fork("burst"),
-            burst_rngs: Vec::new(),
-            windows: Vec::new(),
-            next_local: 0,
-            delivered_keys: Vec::new(),
-        });
-        self.rebuild_exec_burst();
-    }
-
-    /// Whether this medium runs in shard-executor mode.
-    #[must_use]
-    pub fn shard_exec_active(&self) -> bool {
-        self.exec.is_some()
-    }
-
-    /// Ingests one centrally resolved transmission; returns the local
-    /// handle to pass to [`Medium::exec_deliveries`] and the completion
+    /// Ingests one resolved transmission on the receiver side; returns the
+    /// local handle to pass to [`Medium::deliver`] and the completion
     /// instant to schedule it at.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the medium is not in shard-executor mode.
-    pub fn ingest_resolved(&mut self, rtx: ResolvedTx) -> (u64, Timestamp) {
+    pub fn ingest(&mut self, rtx: ResolvedTx) -> (u64, Timestamp) {
         let horizon = self.prune_horizon;
-        let exec = self
-            .exec
-            .as_mut()
-            .expect("ingest_resolved requires shard-executor mode");
         let now = rtx.start;
-        exec.windows.retain(|w| !w.resolved || w.end + horizon > now);
-        let local = exec.next_local;
-        exec.next_local += 1;
+        // Unresolved windows must survive until their delivery step,
+        // however late that happens.
+        self.windows
+            .retain(|w| !w.resolved || w.end + horizon > now);
+        let local = self.next_local;
+        self.next_local += 1;
         let completes_at = rtx.completes_at;
-        exec.windows.push(ExecWindow {
+        self.windows.push(Window {
             local,
             key: rtx.key(),
             start: rtx.start,
@@ -1162,91 +932,84 @@ impl Medium {
         (local, completes_at)
     }
 
-    /// Resolves the per-receiver outcomes of an ingested transmission for
-    /// this shard's **owned** receivers only. The pinned draw discipline:
-    /// a skipped (non-owned) receiver consumes zero randomness — fades are
-    /// keyed per-pair draws and burst chains are per-receiver streams — so
-    /// the outcome at an owned receiver is identical whatever subset of
-    /// the global traffic this shard was routed, as long as every window
-    /// audible at that receiver was ingested (the interest-routing
-    /// soundness guarantee).
+    /// The receiver side: resolves the per-receiver outcomes of ingested
+    /// transmission `local` for **owned** receivers only, at (or after)
+    /// its completion instant. Collisions and half-duplex come from the
+    /// ingested windows; fades are keyed draws and burst chains
+    /// per-receiver streams, so a skipped receiver consumes zero
+    /// randomness (the [module docs](self) discipline).
     ///
-    /// Transmit-side outcomes (`tx_lost` among them) are *not* tallied
-    /// here: the scheduler finalises those globally from the delivered
-    /// keys drained via [`Medium::drain_delivered_keys`].
+    /// `tx_lost` is *not* tallied here: [`DeliveryReport::heard`] says
+    /// whether any owned receiver got the frame, and whoever holds every
+    /// receiver's answer settles it with [`Medium::note_lost`].
     ///
     /// # Panics
     ///
-    /// Panics when the medium is not in shard-executor mode, or when
-    /// `local` is unknown or already resolved.
-    pub fn exec_deliveries(&mut self, local: u64) -> DeliveryReport {
+    /// Panics when `local` is unknown or already delivered.
+    pub fn deliver(&mut self, local: u64) -> DeliveryReport {
         let Medium {
             config,
             neighbors,
             stats,
             partition,
+            owned,
+            windows,
+            overlapping,
+            fade_rng,
             burst,
             delivery_log,
-            exec,
             outcome_pool,
             outcome_allocs,
             ..
         } = self;
-        let exec = exec
-            .as_mut()
-            .expect("exec_deliveries requires shard-executor mode");
-        let neighbors = &*neighbors;
-        let partition = &*partition;
-        let idx = exec
-            .windows
+        let partition = partition.as_deref();
+        let idx = windows
             .iter()
             .position(|w| w.local == local && !w.resolved)
-            .expect("unknown or already-resolved sharded transmission");
+            .expect("unknown or already-resolved transmission");
+        windows[idx].resolved = true;
         let (key, start, end, frame, duplicated) = {
-            let w = &exec.windows[idx];
+            let w = &windows[idx];
             (w.key, w.start, w.end, w.frame.clone(), w.duplicated)
         };
         let src = frame.src;
-        let partitioned = |a: NodeId, b: NodeId| match partition {
-            Some(g) => g[a.index()] != g[b.index()],
-            None => false,
-        };
-        let in_range = |a: NodeId, b: NodeId| neighbors[a.index()].binary_search(&b).is_ok();
-        let mut outcomes = match outcome_pool.pop() {
-            Some(buf) => buf,
-            None => {
-                *outcome_allocs += 1;
-                Vec::new()
-            }
-        };
+        // Only windows overlapping this one in time can destroy it at a
+        // receiver; collect their sources once, in ingestion order, instead
+        // of rescanning every window per receiver.
+        overlapping.clear();
+        overlapping.extend(
+            windows
+                .iter()
+                .filter(|o| o.frame.src != src && o.start < end && start < o.end)
+                .map(|o| o.frame.src),
+        );
+        let mut outcomes = outcome_pool.pop().unwrap_or_else(|| {
+            *outcome_allocs += 1;
+            Vec::new()
+        });
+        let receivers = &neighbors[src.index()];
+        outcomes.reserve(receivers.len());
+        // Tally per-kind stats locally and fold them into the BTreeMap once
+        // at the end, rather than one map lookup per receiver.
         let mut tally = KindStats::default();
-        let mut any_delivered = false;
-        for &v in &neighbors[src.index()] {
-            if !exec.owned[v.index()] {
-                // Someone else's partition of the receiver walk; skipping
-                // it draws nothing (the discipline everything rests on).
+        for &v in receivers {
+            if !owned[v.index()] {
                 continue;
             }
-            let mut outcome = if partitioned(src, v) {
+            let mut outcome = if severed(partition, src, v) {
                 DeliveryOutcome::PartitionDrop
             } else {
-                // Collision / half-duplex resolution over the locally
-                // ingested windows, in global resolve order (routing
-                // preserves it), mirroring `receiver_outcome`.
+                // Collision / half-duplex: the first overlapping window
+                // that `v` sent or can hear.
                 let mut o = DeliveryOutcome::Delivered;
-                for other in &exec.windows {
-                    let osrc = other.frame.src;
-                    if osrc == src {
-                        continue;
-                    }
-                    if !(other.start < end && start < other.end) {
-                        continue;
-                    }
+                for &osrc in overlapping.iter() {
                     if osrc == v {
                         o = DeliveryOutcome::HalfDuplex;
                         break;
                     }
-                    if in_range(osrc, v) && !partitioned(osrc, v) {
+                    if neighbors[osrc.index()].binary_search(&v).is_ok()
+                        && !severed(partition, osrc, v)
+                    {
                         o = DeliveryOutcome::Collided;
                         break;
                     }
@@ -1254,34 +1017,36 @@ impl Medium {
                 o
             };
             if outcome == DeliveryOutcome::Delivered
-                && exec
-                    .fade_base
-                    .fork_indexed("pair", fade_mix(key, v))
-                    .chance(config.base_loss)
+                && fade_rng.indexed(fade_mix(key, v)).chance(config.base_loss)
             {
                 outcome = DeliveryOutcome::Faded;
             }
-            if let Some((model, states)) = burst.as_mut() {
+            // The Gilbert–Elliott chain advances once per arrival
+            // opportunity and can turn a surviving delivery into a burst
+            // loss.
+            if let Some((model, chains)) = burst.as_mut() {
                 if outcome != DeliveryOutcome::PartitionDrop {
-                    let chain = &mut exec.burst_rngs[v.index()];
-                    let bad = &mut states[v.index()];
-                    let flip = if *bad {
+                    let chain = &mut chains[v.index()];
+                    let flip = if chain.bad {
                         model.p_bad_to_good
                     } else {
                         model.p_good_to_bad
                     };
-                    if chain.chance(flip) {
-                        *bad = !*bad;
+                    if chain.rng.chance(flip) {
+                        chain.bad = !chain.bad;
                     }
-                    let loss = if *bad { model.loss_bad } else { model.loss_good };
-                    if outcome == DeliveryOutcome::Delivered && chain.chance(loss) {
+                    let loss = if chain.bad {
+                        model.loss_bad
+                    } else {
+                        model.loss_good
+                    };
+                    if outcome == DeliveryOutcome::Delivered && chain.rng.chance(loss) {
                         outcome = DeliveryOutcome::BurstFaded;
                     }
                 }
             }
             match outcome {
                 DeliveryOutcome::Delivered => {
-                    any_delivered = true;
                     tally.rx += 1;
                     if let Some(log) = delivery_log.as_mut() {
                         log.push((end, src, v));
@@ -1295,56 +1060,45 @@ impl Medium {
             }
             outcomes.push((v, outcome));
         }
-        if any_delivered {
-            exec.delivered_keys.push(key);
-        }
-        let ks = stats.per_kind.entry(frame.kind.0).or_default();
-        ks.rx += tally.rx;
-        ks.collided += tally.collided;
-        ks.half_duplex += tally.half_duplex;
-        ks.faded += tally.faded;
-        ks.burst_faded += tally.burst_faded;
-        ks.partition_dropped += tally.partition_dropped;
-        exec.windows[idx].resolved = true;
+        let heard = tally.rx > 0;
+        stats
+            .per_kind
+            .entry(frame.kind.0)
+            .or_default()
+            .absorb(&tally);
         DeliveryReport {
+            key,
             frame,
             outcomes,
             duplicated,
+            heard,
         }
     }
 
-    /// Drains the keys of ingested transmissions at least one owned
-    /// receiver heard intact since the last drain. Empty outside
-    /// shard-executor mode.
-    pub fn drain_delivered_keys(&mut self) -> Vec<TxKey> {
-        self.exec
-            .as_mut()
-            .map_or_else(Vec::new, |e| std::mem::take(&mut e.delivered_keys))
+    /// Settles one transmission as heard intact by no receiver at all —
+    /// the paper's message-loss metric (`tx_lost`, `net.k<kind>.lost`).
+    pub fn note_lost(&mut self, kind: FrameKind) {
+        self.kind_stats_mut(kind).tx_lost += 1;
+        self.kind_counters(kind).lost.incr();
     }
 
-    fn receiver_outcome(
-        &self,
-        src: NodeId,
-        v: NodeId,
-        start: Timestamp,
-        end: Timestamp,
-    ) -> DeliveryOutcome {
-        for other in &self.active {
-            if other.src == src {
-                continue;
-            }
-            let overlaps = other.start < end && start < other.end;
-            if !overlaps {
-                continue;
-            }
-            if other.src == v {
-                return DeliveryOutcome::HalfDuplex;
-            }
-            if self.in_range(other.src, v) && !self.partitioned(other.src, v) {
-                return DeliveryOutcome::Collided;
-            }
+    /// Hands a delivery report's outcome buffer back for reuse, so the next
+    /// [`Medium::deliver`] call pops it instead of allocating. Optional —
+    /// skipping it only costs one allocation per broadcast.
+    pub fn recycle(&mut self, report: DeliveryReport) {
+        let mut buf = report.outcomes;
+        if self.outcome_pool.len() < OUTCOME_POOL_CAP {
+            buf.clear();
+            self.outcome_pool.push(buf);
         }
-        DeliveryOutcome::Delivered
+    }
+
+    /// Fresh outcome-buffer allocations `deliver` has made so far. With
+    /// recycling in steady state this stays pinned at the number of reports
+    /// simultaneously in flight (one, for the event-driven network stack).
+    #[must_use]
+    pub fn outcome_buffer_allocs(&self) -> u64 {
+        self.outcome_allocs
     }
 
     /// A snapshot of the channel statistics so far.
@@ -1361,13 +1115,11 @@ impl Medium {
     fn kind_stats_mut(&mut self, kind: FrameKind) -> &mut KindStats {
         self.stats.per_kind.entry(kind.0).or_default()
     }
+}
 
-    fn prune(&mut self, now: Timestamp) {
-        let horizon = self.prune_horizon;
-        // Unresolved transmissions must survive until their deliveries are
-        // collected, however late that happens.
-        self.active.retain(|r| !r.resolved || r.end + horizon > now);
-    }
+/// Whether an active partition mask severs the link `a`↔`b`.
+fn severed(partition: Option<&[u8]>, a: NodeId, b: NodeId) -> bool {
+    partition.is_some_and(|g| g[a.index()] != g[b.index()])
 }
 
 impl std::fmt::Debug for Medium {
@@ -1375,255 +1127,8 @@ impl std::fmt::Debug for Medium {
         f.debug_struct("Medium")
             .field("nodes", &self.neighbors.len())
             .field("comm_radius", &self.config.comm_radius)
-            .field("in_flight", &self.active.len())
-            .field("total_tx", &self.stats.total_tx)
-            .finish()
-    }
-}
-
-/// Globally unique identity of one sharded transmission:
-/// `(source node id, per-source intent sequence)`.
-pub type TxKey = (u32, u64);
-
-/// One transmit intent resolved by the [`ChannelScheduler`]: the channel
-/// window plus every transmit-side random decision, computed exactly once
-/// globally so any subset of shards can replay the receiver side
-/// identically.
-#[derive(Debug, Clone)]
-pub struct ResolvedTx {
-    /// Per-source intent sequence (second half of [`ResolvedTx::key`]).
-    pub seq: u64,
-    /// The frame as it left the scheduler — payload possibly garbled by
-    /// the link-fault injector (every interested shard shares the same
-    /// garbled bytes), the charged [`Frame::wire_len`] always pristine.
-    pub frame: Frame,
-    /// When the first bit hits the channel (after CSMA defer + backoff).
-    pub start: Timestamp,
-    /// When the last bit leaves the channel.
-    pub end: Timestamp,
-    /// When receivers finish decoding (processing delay plus any reorder
-    /// slip); schedule the delivery event here.
-    pub completes_at: Timestamp,
-    /// The link duplicated this transmission: receivers process the
-    /// outcome set twice.
-    pub duplicated: bool,
-}
-
-impl ResolvedTx {
-    /// The transmission's global identity.
-    #[must_use]
-    pub fn key(&self) -> TxKey {
-        (self.frame.src.0, self.seq)
-    }
-}
-
-/// One active channel window on the scheduler's global view. Delivery is
-/// the shards' job, so unlike [`TxRecord`] a window is prunable the moment
-/// it slips past the horizon.
-#[derive(Debug, Clone)]
-struct SchedWindow {
-    src: NodeId,
-    end: Timestamp,
-}
-
-/// The transmit side of a partitioned sharded medium (see the
-/// [module docs](self)): owned by the sharded orchestrator, it resolves
-/// every merged intent exactly once — CSMA deferral with the sequential
-/// backoff stream, MAC drops, link-fault garbling / duplication / reorder
-/// slip, and all transmit-side statistics — and hands back a
-/// [`ResolvedTx`] for routing to interested shards.
-///
-/// `tx_lost` (the paper's "heard by nobody" metric) needs the receiver
-/// side, which lives on the shards: the scheduler keeps every resolved
-/// transmission pending until [`ChannelScheduler::finalize_lost`] is
-/// called with the union of delivered keys the shards reported.
-pub struct ChannelScheduler {
-    config: RadioConfig,
-    neighbors: Vec<Vec<NodeId>>,
-    active: Vec<SchedWindow>,
-    rng: SimRng,
-    fault_rng: SimRng,
-    partition: Option<Vec<u8>>,
-    faults: Option<LinkFaults>,
-    stats: NetStats,
-    prune_horizon: SimDuration,
-    /// Resolved transmissions awaiting their loss verdict:
-    /// `(completes_at, key, kind)`.
-    pending: Vec<(Timestamp, TxKey, FrameKind)>,
-}
-
-impl ChannelScheduler {
-    /// Builds a scheduler over `deployment`, deriving its randomness from
-    /// `rng` with the same labels a monolithic [`Medium`] would use — its
-    /// own golden family, but the same structure.
-    #[must_use]
-    pub fn new(deployment: &Deployment, config: RadioConfig, rng: &SimRng) -> Self {
-        let neighbors = neighbor_lists_with(deployment, config.comm_radius, config.topology);
-        let prune_horizon = config.max_defer + config.proc_delay + SimDuration::from_secs(1);
-        ChannelScheduler {
-            config,
-            neighbors,
-            active: Vec::new(),
-            rng: rng.fork("radio-medium"),
-            fault_rng: rng.fork("link-faults"),
-            partition: None,
-            faults: None,
-            stats: NetStats::default(),
-            prune_horizon,
-            pending: Vec::new(),
-        }
-    }
-
-    /// Installs (or clears) a partition mask (carrier sensing stops
-    /// crossing the cut, matching [`Medium::set_partition`]).
-    pub fn set_partition(&mut self, groups: Option<Vec<u8>>) {
-        if let Some(g) = &groups {
-            assert_eq!(
-                g.len(),
-                self.neighbors.len(),
-                "partition mask must cover every node"
-            );
-        }
-        self.partition = groups;
-    }
-
-    /// Installs (or clears) the link-level fault injector.
-    pub fn set_link_faults(&mut self, faults: Option<LinkFaults>) {
-        if let Some(f) = &faults {
-            f.validate();
-        }
-        self.faults = faults;
-    }
-
-    fn partitioned(&self, a: NodeId, b: NodeId) -> bool {
-        match &self.partition {
-            Some(g) => g[a.index()] != g[b.index()],
-            None => false,
-        }
-    }
-
-    fn in_range(&self, a: NodeId, b: NodeId) -> bool {
-        self.neighbors[a.index()].binary_search(&b).is_ok()
-    }
-
-    /// Resolves one merged intent at its adjusted transmit instant `now`.
-    /// Returns `None` on a MAC drop (counted in the stats). Intents must
-    /// arrive in merged `(time, src, seq)` order — the orchestrator's
-    /// barrier sort guarantees it — so the sequential backoff stream is a
-    /// function of the merged batch alone, not of the shard count.
-    pub fn resolve(&mut self, now: Timestamp, seq: u64, mut frame: Frame) -> Option<ResolvedTx> {
-        let horizon = self.prune_horizon;
-        self.active.retain(|w| w.end + horizon > now);
-        let mut start = now;
-        if self.config.csma {
-            let mut busy_until = now;
-            for w in &self.active {
-                let audible = w.src == frame.src
-                    || (self.in_range(w.src, frame.src) && !self.partitioned(w.src, frame.src));
-                if audible && w.end > busy_until {
-                    busy_until = w.end;
-                }
-            }
-            if busy_until > now {
-                let backoff = SimDuration::from_micros(
-                    self.rng.below(self.config.backoff_max.as_micros().max(1)),
-                );
-                start = busy_until + backoff;
-            }
-            let defer = start.saturating_since(now);
-            if defer > self.config.max_defer {
-                self.stats.per_kind.entry(frame.kind.0).or_default().mac_dropped += 1;
-                return None;
-            }
-        }
-        let tx_time = self.config.tx_time(&frame);
-        let end = start + tx_time;
-        self.stats.total_tx += 1;
-        self.stats.total_bits += frame.on_air_bits();
-        self.stats.busy_time += tx_time;
-        let charged = frame.on_air_bits() / 8;
-        {
-            let ks = self.stats.per_kind.entry(frame.kind.0).or_default();
-            ks.tx += 1;
-            ks.bytes_on_air += charged;
-            ks.payload_bytes += frame.payload.len() as u64;
-        }
-        // Transmit-side fault draws, resolved once globally in a fixed
-        // order (reorder slip, garbling, duplication) so every interested
-        // shard sees the same bytes and the same completion instant.
-        let mut extra = SimDuration::ZERO;
-        let mut duplicated = false;
-        if let Some(f) = self.faults {
-            if f.reorder > 0.0 && self.fault_rng.chance(f.reorder) {
-                extra = SimDuration::from_micros(
-                    self.fault_rng.below(f.reorder_max_delay.as_micros().max(1)),
-                );
-                self.stats.per_kind.entry(frame.kind.0).or_default().reordered += 1;
-            }
-            if garble_payload(&mut frame, &f, &mut self.fault_rng) {
-                self.stats.per_kind.entry(frame.kind.0).or_default().corrupted += 1;
-            }
-            if f.duplicate > 0.0 && self.fault_rng.chance(f.duplicate) {
-                duplicated = true;
-                self.stats.per_kind.entry(frame.kind.0).or_default().duplicated += 1;
-            }
-        }
-        let completes_at = end + self.config.proc_delay + extra;
-        self.active.push(SchedWindow {
-            src: frame.src,
-            end,
-        });
-        self.pending.push((completes_at, (frame.src.0, seq), frame.kind));
-        Some(ResolvedTx {
-            seq,
-            frame,
-            start,
-            end,
-            completes_at,
-            duplicated,
-        })
-    }
-
-    /// Finalises the "heard by nobody" verdict for every resolved
-    /// transmission completing at or before `up_to`: any whose key is
-    /// absent from `delivered` (the union the shards reported) counts as
-    /// `tx_lost`. Returns the finalised keys so the orchestrator can
-    /// shrink its delivered set.
-    pub fn finalize_lost(&mut self, up_to: Timestamp, delivered: &HashSet<TxKey>) -> Vec<TxKey> {
-        let ChannelScheduler { pending, stats, .. } = self;
-        let mut done = Vec::new();
-        pending.retain(|&(completes_at, key, kind)| {
-            if completes_at > up_to {
-                return true;
-            }
-            if !delivered.contains(&key) {
-                stats.per_kind.entry(kind.0).or_default().tx_lost += 1;
-            }
-            done.push(key);
-            false
-        });
-        done
-    }
-
-    /// Transmissions still awaiting their loss verdict.
-    #[must_use]
-    pub fn pending_lost(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// The transmit-side statistics accumulated so far.
-    #[must_use]
-    pub fn stats(&self) -> &NetStats {
-        &self.stats
-    }
-}
-
-impl std::fmt::Debug for ChannelScheduler {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ChannelScheduler")
-            .field("nodes", &self.neighbors.len())
-            .field("in_flight", &self.active.len())
-            .field("pending_lost", &self.pending.len())
+            .field("busy", &self.busy.len())
+            .field("in_flight", &self.windows.len())
             .field("total_tx", &self.stats.total_tx)
             .finish()
     }
@@ -1651,6 +1156,23 @@ mod tests {
 
     fn frame(src: u32) -> Frame {
         Frame::broadcast(NodeId(src), FrameKind(1), Bytes::from_static(&[0u8; 20]))
+    }
+
+    /// One monolithic send: resolve at `now`, ingest straight back. Returns
+    /// the local handle and completion instant, or `None` on a MAC drop.
+    fn send(m: &mut Medium, now: Timestamp, src: u32) -> Option<(u64, Timestamp)> {
+        let seq = m.stats().total_tx + m.stats().sum(|k| k.mac_dropped);
+        m.resolve(now, seq, frame(src)).map(|rtx| m.ingest(rtx))
+    }
+
+    /// One monolithic delivery step: deliver, then settle "heard by
+    /// nobody" — the medium owns every receiver, so its answer is final.
+    fn complete(m: &mut Medium, local: u64) -> DeliveryReport {
+        let report = m.deliver(local);
+        if !report.heard {
+            m.note_lost(report.frame.kind);
+        }
+        report
     }
 
     #[test]
@@ -1681,11 +1203,12 @@ mod tests {
     fn clean_broadcast_reaches_all_neighbors() {
         let d = line_deployment(3, 1.0);
         let mut m = Medium::new(&d, lossless(5.0), &SimRng::seed_from(1));
-        let tx = m.transmit(Timestamp::ZERO, frame(1)).unwrap();
-        assert!(tx.completes_at > Timestamp::ZERO);
-        let report = m.deliveries(tx.id);
+        let (tx, completes_at) = send(&mut m, Timestamp::ZERO, 1).unwrap();
+        assert!(completes_at > Timestamp::ZERO);
+        let report = complete(&mut m, tx);
         let delivered: Vec<NodeId> = report.delivered().collect();
         assert_eq!(delivered, vec![NodeId(0), NodeId(2)]);
+        assert!(report.heard);
         let ks = m.stats().kind(FrameKind(1));
         assert_eq!(ks.tx, 1);
         assert_eq!(ks.rx, 2);
@@ -1703,12 +1226,10 @@ mod tests {
             reorder: 0.0,
             reorder_max_delay: SimDuration::ZERO,
         }));
-        let sent = frame(1);
-        let pristine = sent.payload.to_vec();
-        let charged_before = m.stats().kind(FrameKind(1)).bytes_on_air;
-        assert_eq!(charged_before, 0);
-        let tx = m.transmit(Timestamp::ZERO, sent).unwrap();
-        let report = m.deliveries(tx.id);
+        let pristine = frame(1).payload.to_vec();
+        assert_eq!(m.stats().kind(FrameKind(1)).bytes_on_air, 0);
+        let (tx, _) = send(&mut m, Timestamp::ZERO, 1).unwrap();
+        let report = complete(&mut m, tx);
         assert_ne!(report.frame.payload.to_vec(), pristine);
         assert!(!report.frame.payload_is_pristine());
         assert_eq!(report.frame.payload.len(), pristine.len());
@@ -1716,7 +1237,7 @@ mod tests {
         let ks = m.stats().kind(FrameKind(1));
         assert_eq!(ks.corrupted, 1);
         assert_eq!(ks.duplicated, 1);
-        // Airtime was charged at transmit from the pristine wire length.
+        // Airtime was charged at resolve from the pristine wire length.
         assert_eq!(ks.bytes_on_air, (18 + 7 + 20) as u64);
     }
 
@@ -1731,8 +1252,8 @@ mod tests {
             reorder: 0.0,
             reorder_max_delay: SimDuration::ZERO,
         }));
-        let tx = m.transmit(Timestamp::ZERO, frame(0)).unwrap();
-        let report = m.deliveries(tx.id);
+        let (tx, _) = send(&mut m, Timestamp::ZERO, 0).unwrap();
+        let report = complete(&mut m, tx);
         assert!(report.frame.payload.len() < 20, "truncation must cut bytes");
         assert_eq!(report.frame.wire_len, 20, "charged length is pristine");
         assert!(!report.frame.payload_is_pristine());
@@ -1743,7 +1264,7 @@ mod tests {
     fn reordering_delays_processing_but_not_airtime() {
         let d = line_deployment(2, 1.0);
         let mut m = Medium::new(&d, lossless(5.0), &SimRng::seed_from(7));
-        let base = m.transmit(Timestamp::ZERO, frame(0)).unwrap();
+        let (_, base) = send(&mut m, Timestamp::ZERO, 0).unwrap();
         let busy = m.stats().busy_time;
         let mut m2 = Medium::new(&d, lossless(5.0), &SimRng::seed_from(7));
         m2.set_link_faults(Some(LinkFaults {
@@ -1753,13 +1274,12 @@ mod tests {
             reorder: 1.0,
             reorder_max_delay: SimDuration::from_millis(30),
         }));
-        let delayed = m2.transmit(Timestamp::ZERO, frame(0)).unwrap();
-        assert!(delayed.completes_at >= base.completes_at);
+        let (delayed, delayed_at) = send(&mut m2, Timestamp::ZERO, 0).unwrap();
+        assert!(delayed_at >= base);
         assert_eq!(m2.stats().busy_time, busy, "channel occupancy unchanged");
         assert_eq!(m2.stats().kind(FrameKind(1)).reordered, 1);
         // The delayed report still resolves normally.
-        let r = m2.deliveries(delayed.id);
-        assert!(r.frame.payload_is_pristine());
+        assert!(complete(&mut m2, delayed).frame.payload_is_pristine());
     }
 
     #[test]
@@ -1781,18 +1301,17 @@ mod tests {
         }));
         for src in 0..4u32 {
             let now = Timestamp::ZERO + SimDuration::from_millis(u64::from(src) * 50);
-            let ta = a.transmit(now, frame(src)).unwrap();
-            let tb = b.transmit(now, frame(src)).unwrap();
-            assert_eq!(a.deliveries(ta.id).outcomes, b.deliveries(tb.id).outcomes);
+            let (ta, _) = send(&mut a, now, src).unwrap();
+            let (tb, _) = send(&mut b, now, src).unwrap();
+            assert_eq!(complete(&mut a, ta).outcomes, complete(&mut b, tb).outcomes);
         }
     }
 
     #[test]
     fn tx_time_matches_bandwidth() {
         let cfg = RadioConfig::default();
-        let f = frame(0);
         // (18 preamble + 7 header + 20 payload) * 8 bits / 50_000 bps = 7.2 ms
-        assert_eq!(cfg.tx_time(&f), SimDuration::from_micros(7200));
+        assert_eq!(cfg.tx_time(&frame(0)), SimDuration::from_micros(7200));
     }
 
     #[test]
@@ -1802,10 +1321,10 @@ mod tests {
         let mut cfg = lossless(1.5);
         cfg.csma = true; // CSMA cannot prevent hidden-terminal collisions
         let mut m = Medium::new(&d, cfg, &SimRng::seed_from(1));
-        let t0 = m.transmit(Timestamp::ZERO, frame(0)).unwrap();
-        let t2 = m.transmit(Timestamp::ZERO, frame(2)).unwrap();
-        let r0 = m.deliveries(t0.id);
-        let r2 = m.deliveries(t2.id);
+        let (t0, _) = send(&mut m, Timestamp::ZERO, 0).unwrap();
+        let (t2, _) = send(&mut m, Timestamp::ZERO, 2).unwrap();
+        let r0 = complete(&mut m, t0);
+        let r2 = complete(&mut m, t2);
         assert_eq!(r0.outcomes, vec![(NodeId(1), DeliveryOutcome::Collided)]);
         assert_eq!(r2.outcomes, vec![(NodeId(1), DeliveryOutcome::Collided)]);
         assert_eq!(m.stats().kind(FrameKind(1)).tx_lost, 2);
@@ -1815,18 +1334,17 @@ mod tests {
     fn csma_serialises_in_range_transmitters() {
         let d = line_deployment(3, 1.0);
         let mut m = Medium::new(&d, lossless(5.0), &SimRng::seed_from(1));
-        let t0 = m.transmit(Timestamp::ZERO, frame(0)).unwrap();
+        let (t0, at0) = send(&mut m, Timestamp::ZERO, 0).unwrap();
         // Node 2 hears node 0, so its send defers past t0's end.
-        let t2 = m.transmit(Timestamp::ZERO, frame(2)).unwrap();
-        assert!(t2.completes_at > t0.completes_at);
-        let r0 = m.deliveries(t0.id);
+        let (t2, at2) = send(&mut m, Timestamp::ZERO, 2).unwrap();
+        assert!(at2 > at0);
+        let r0 = complete(&mut m, t0);
         assert_eq!(
             r0.delivered().count(),
             2,
             "deferral must avoid the collision"
         );
-        let r2 = m.deliveries(t2.id);
-        assert_eq!(r2.delivered().count(), 2);
+        assert_eq!(complete(&mut m, t2).delivered().count(), 2);
     }
 
     #[test]
@@ -1836,10 +1354,10 @@ mod tests {
         let mut cfg = lossless(5.0);
         cfg.csma = false;
         let mut m = Medium::new(&d, cfg, &SimRng::seed_from(1));
-        let t0 = m.transmit(Timestamp::ZERO, frame(0)).unwrap();
-        let t1 = m.transmit(Timestamp::ZERO, frame(1)).unwrap();
-        let r0 = m.deliveries(t0.id);
-        let r1 = m.deliveries(t1.id);
+        let (t0, _) = send(&mut m, Timestamp::ZERO, 0).unwrap();
+        let (t1, _) = send(&mut m, Timestamp::ZERO, 1).unwrap();
+        let r0 = complete(&mut m, t0);
+        let r1 = complete(&mut m, t1);
         assert_eq!(r0.outcomes, vec![(NodeId(1), DeliveryOutcome::HalfDuplex)]);
         assert_eq!(r1.outcomes, vec![(NodeId(0), DeliveryOutcome::HalfDuplex)]);
     }
@@ -1850,16 +1368,15 @@ mod tests {
         let mut cfg = lossless(5.0);
         cfg.max_defer = SimDuration::from_micros(10);
         let mut m = Medium::new(&d, cfg, &SimRng::seed_from(1));
-        let _t0 = m.transmit(Timestamp::ZERO, frame(0)).unwrap();
-        let err = m.transmit(Timestamp::ZERO, frame(1)).unwrap_err();
-        assert!(err.needed_defer > SimDuration::from_micros(10));
+        assert!(send(&mut m, Timestamp::ZERO, 0).is_some());
+        assert!(send(&mut m, Timestamp::ZERO, 1).is_none());
         let ks = m.stats().kind(FrameKind(1));
         assert_eq!(ks.mac_dropped, 1);
         assert!(ks.tx_loss_ratio() > 0.0);
     }
 
     #[test]
-    fn fading_loses_roughly_the_configured_fraction() {
+    fn keyed_fading_loses_roughly_the_configured_fraction() {
         let d = line_deployment(2, 1.0);
         let cfg = RadioConfig::default()
             .with_comm_radius(5.0)
@@ -1869,10 +1386,9 @@ mod tests {
         let mut delivered = 0u32;
         let trials = 2000;
         for _ in 0..trials {
-            let tx = m.transmit(now, frame(0)).unwrap();
-            now = tx.completes_at + SimDuration::from_millis(1);
-            let r = m.deliveries(tx.id);
-            delivered += r.delivered().count() as u32;
+            let (tx, at) = send(&mut m, now, 0).unwrap();
+            now = at + SimDuration::from_millis(1);
+            delivered += complete(&mut m, tx).delivered().count() as u32;
         }
         let rate = 1.0 - f64::from(delivered) / f64::from(trials);
         assert!((rate - 0.2).abs() < 0.04, "fade rate {rate}");
@@ -1882,9 +1398,10 @@ mod tests {
     fn isolated_transmitter_counts_as_lost() {
         let d = line_deployment(2, 10.0); // out of range of each other
         let mut m = Medium::new(&d, lossless(1.0), &SimRng::seed_from(1));
-        let tx = m.transmit(Timestamp::ZERO, frame(0)).unwrap();
-        let r = m.deliveries(tx.id);
+        let (tx, _) = send(&mut m, Timestamp::ZERO, 0).unwrap();
+        let r = complete(&mut m, tx);
         assert!(r.outcomes.is_empty());
+        assert!(!r.heard);
         assert_eq!(m.stats().kind(FrameKind(1)).tx_lost, 1);
     }
 
@@ -1892,8 +1409,8 @@ mod tests {
     fn utilization_accumulates_bits() {
         let d = line_deployment(2, 1.0);
         let mut m = Medium::new(&d, lossless(5.0), &SimRng::seed_from(1));
-        let tx = m.transmit(Timestamp::ZERO, frame(0)).unwrap();
-        let _ = m.deliveries(tx.id);
+        let (tx, _) = send(&mut m, Timestamp::ZERO, 0).unwrap();
+        let _ = complete(&mut m, tx);
         let bits = frame(0).on_air_bits();
         assert_eq!(m.stats().total_bits, bits);
         let util = m
@@ -1910,8 +1427,8 @@ mod tests {
         m.set_partition(Some(vec![0, 0, 1, 1]));
         assert!(m.partitioned(NodeId(1), NodeId(2)));
         assert!(!m.partitioned(NodeId(0), NodeId(1)));
-        let tx = m.transmit(Timestamp::ZERO, frame(1)).unwrap();
-        let r = m.deliveries(tx.id);
+        let (tx, _) = send(&mut m, Timestamp::ZERO, 1).unwrap();
+        let r = complete(&mut m, tx);
         let delivered: Vec<NodeId> = r.delivered().collect();
         assert_eq!(delivered, vec![NodeId(0)]);
         assert!(r
@@ -1924,10 +1441,8 @@ mod tests {
 
         // Healing restores the full broadcast.
         m.set_partition(None);
-        let tx = m
-            .transmit(Timestamp::from_secs(1), frame(1))
-            .unwrap();
-        assert_eq!(m.deliveries(tx.id).delivered().count(), 3);
+        let (tx, _) = send(&mut m, Timestamp::from_secs(1), 1).unwrap();
+        assert_eq!(complete(&mut m, tx).delivered().count(), 3);
     }
 
     #[test]
@@ -1935,10 +1450,10 @@ mod tests {
         let d = line_deployment(2, 1.0);
         let mut m = Medium::new(&d, lossless(5.0), &SimRng::seed_from(1));
         m.set_partition(Some(vec![0, 1]));
-        let t0 = m.transmit(Timestamp::ZERO, frame(0)).unwrap();
+        let (_, at0) = send(&mut m, Timestamp::ZERO, 0).unwrap();
         // Node 1 cannot hear node 0 across the cut, so it does not defer.
-        let t1 = m.transmit(Timestamp::ZERO, frame(1)).unwrap();
-        assert_eq!(t0.completes_at, t1.completes_at);
+        let (_, at1) = send(&mut m, Timestamp::ZERO, 1).unwrap();
+        assert_eq!(at0, at1);
     }
 
     #[test]
@@ -1949,12 +1464,10 @@ mod tests {
         let mut now = Timestamp::ZERO;
         let mut lost_runs = Vec::new();
         let mut run = 0u32;
-        let trials = 2000;
-        for _ in 0..trials {
-            let tx = m.transmit(now, frame(0)).unwrap();
-            now = tx.completes_at + SimDuration::from_millis(1);
-            let delivered = m.deliveries(tx.id).delivered().count() == 1;
-            if delivered {
+        for _ in 0..2000 {
+            let (tx, at) = send(&mut m, now, 0).unwrap();
+            now = at + SimDuration::from_millis(1);
+            if complete(&mut m, tx).heard {
                 if run > 0 {
                     lost_runs.push(run);
                 }
@@ -1967,16 +1480,15 @@ mod tests {
         assert_eq!(ks.faded, 0, "base loss is zero; only bursts may lose");
         assert!(ks.burst_faded > 100, "bursts must actually lose frames");
         // Burst losses cluster: mean lost-run length well above 1.
-        let mean =
-            f64::from(lost_runs.iter().sum::<u32>()) / lost_runs.len().max(1) as f64;
+        let mean = f64::from(lost_runs.iter().sum::<u32>()) / lost_runs.len().max(1) as f64;
         assert!(mean > 1.5, "losses should be correlated, mean run {mean}");
         // Removing the model restores a clean channel.
         m.set_burst_loss(None);
         let before = m.stats().kind(FrameKind(1)).rx;
         for _ in 0..50 {
-            let tx = m.transmit(now, frame(0)).unwrap();
-            now = tx.completes_at + SimDuration::from_millis(1);
-            let _ = m.deliveries(tx.id);
+            let (tx, at) = send(&mut m, now, 0).unwrap();
+            now = at + SimDuration::from_millis(1);
+            let _ = complete(&mut m, tx);
         }
         assert_eq!(m.stats().kind(FrameKind(1)).rx, before + 50);
     }
@@ -1987,9 +1499,9 @@ mod tests {
         let mut m = Medium::new(&d, lossless(5.0), &SimRng::seed_from(1));
         let mut now = Timestamp::ZERO;
         for _ in 0..200 {
-            let tx = m.transmit(now, frame(1)).unwrap();
-            now = tx.completes_at + SimDuration::from_millis(1);
-            let report = m.deliveries(tx.id);
+            let (tx, at) = send(&mut m, now, 1).unwrap();
+            now = at + SimDuration::from_millis(1);
+            let report = complete(&mut m, tx);
             assert_eq!(report.outcomes.len(), 2);
             m.recycle(report);
         }
@@ -2007,9 +1519,9 @@ mod tests {
         let mut m = Medium::new(&d, lossless(1.0), &SimRng::seed_from(1));
         let mut now = Timestamp::ZERO;
         for _ in 0..50 {
-            let tx = m.transmit(now, frame(0)).unwrap();
-            now = tx.completes_at + SimDuration::from_millis(1);
-            let report = m.deliveries(tx.id);
+            let (tx, at) = send(&mut m, now, 0).unwrap();
+            now = at + SimDuration::from_millis(1);
+            let report = complete(&mut m, tx);
             assert!(report.outcomes.is_empty());
             assert_eq!(
                 report.outcomes.capacity(),
@@ -2027,49 +1539,137 @@ mod tests {
         let mut m = Medium::new(&d, lossless(5.0), &SimRng::seed_from(1));
         m.set_delivery_log(true);
         m.set_partition(Some(vec![0, 0, 1]));
-        let tx = m.transmit(Timestamp::ZERO, frame(1)).unwrap();
-        let _ = m.deliveries(tx.id);
+        let (tx, _) = send(&mut m, Timestamp::ZERO, 1).unwrap();
+        let _ = complete(&mut m, tx);
         let log = m.take_delivery_log();
         assert_eq!(log.len(), 1);
         assert_eq!((log[0].1, log[0].2), (NodeId(1), NodeId(0)));
         assert!(m.take_delivery_log().is_empty(), "drain empties the log");
     }
 
-    #[test]
-    fn scheduler_serialises_and_drops_like_the_monolithic_mac() {
-        let d = line_deployment(3, 1.0);
-        let mut sched = ChannelScheduler::new(&d, lossless(5.0), &SimRng::seed_from(1));
-        let a = sched.resolve(Timestamp::ZERO, 0, frame(0)).unwrap();
-        let b = sched.resolve(Timestamp::ZERO, 1, frame(2)).unwrap();
-        assert!(b.start >= a.end, "CSMA must serialise in-range transmitters");
-        // A saturating defer bound MAC-drops exactly like Medium::transmit.
-        let mut cfg = lossless(5.0);
-        cfg.max_defer = SimDuration::from_micros(10);
-        let mut tight = ChannelScheduler::new(&d, cfg, &SimRng::seed_from(1));
-        assert!(tight.resolve(Timestamp::ZERO, 0, frame(0)).is_some());
-        assert!(tight.resolve(Timestamp::ZERO, 1, frame(1)).is_none());
-        assert_eq!(tight.stats().kind(FrameKind(1)).mac_dropped, 1);
+    /// Drives one frame sequence through two setups built from the same
+    /// seed — one all-owning medium, and a transmit-only medium feeding two
+    /// receiver-side media that split the field — in completion order, and
+    /// returns every report of each, plus the summed statistics. The split
+    /// side settles "heard by nobody" from the union of its halves.
+    #[allow(clippy::type_complexity)]
+    fn run_both(
+        cfg: &RadioConfig,
+        chaos: bool,
+    ) -> (Vec<DeliveryReport>, Vec<DeliveryReport>, NetStats, NetStats) {
+        let n = 12u32;
+        let d = line_deployment(n, 1.0);
+        let rng = SimRng::seed_from(17);
+        let mut whole = Medium::new(&d, cfg.clone(), &rng);
+        let mut sched = Medium::new(&d, cfg.clone(), &rng);
+        let mut halves = [
+            Medium::new(&d, cfg.clone(), &rng),
+            Medium::new(&d, cfg.clone(), &rng),
+        ];
+        halves[0].set_owned((0..n).map(|i| i % 3 != 0).collect());
+        halves[1].set_owned((0..n).map(|i| i % 3 == 0).collect());
+        if chaos {
+            let faults = LinkFaults {
+                flip_per_byte: 0.02,
+                truncate: 0.1,
+                duplicate: 0.2,
+                reorder: 0.3,
+                reorder_max_delay: SimDuration::from_millis(30),
+            };
+            let cut: Vec<u8> = (0..n).map(|i| u8::from(i >= 8)).collect();
+            for m in [&mut whole, &mut sched] {
+                m.set_link_faults(Some(faults));
+                m.set_partition(Some(cut.clone()));
+            }
+            for m in std::iter::once(&mut whole).chain(&mut halves) {
+                m.set_burst_loss(Some(GilbertElliott::default()));
+                m.set_partition(Some(cut.clone()));
+            }
+        }
+        let mut traffic = SimRng::seed_from(3);
+        let mut pending: Vec<(Timestamp, u64, u64)> = Vec::new();
+        let (mut one, mut split) = (Vec::new(), Vec::new());
+        let mut now = Timestamp::ZERO;
+        for seq in 0..400u64 {
+            // Every completion due before the next request runs first, as
+            // the kernel would order them.
+            now += SimDuration::from_micros(traffic.below(6_000));
+            pending.sort_unstable();
+            while pending.first().is_some_and(|p| p.0 <= now) {
+                let (_, a, b) = pending.remove(0);
+                let r = whole.deliver(a);
+                if !r.heard {
+                    whole.note_lost(r.frame.kind);
+                }
+                one.push(r);
+                let (r0, r1) = (halves[0].deliver(b), halves[1].deliver(b));
+                if !r0.heard && !r1.heard {
+                    sched.note_lost(r0.frame.kind);
+                }
+                let mut merged = r0.clone();
+                merged.outcomes.extend(r1.outcomes);
+                merged.outcomes.sort_by_key(|(v, _)| *v);
+                merged.heard |= r1.heard;
+                split.push(merged);
+            }
+            let src = NodeId(traffic.below(u64::from(n)) as u32);
+            let f = Frame::broadcast(src, FrameKind(1), Bytes::from(vec![7u8; 12]));
+            let a = whole.resolve(now, seq, f.clone());
+            let b = sched.resolve(now, seq, f);
+            assert_eq!(a.is_some(), b.is_some(), "MAC drops must agree");
+            if let (Some(a), Some(b)) = (a, b) {
+                let (la, at) = whole.ingest(a);
+                let (lb, _) = halves[0].ingest(b.clone());
+                assert_eq!(halves[1].ingest(b).0, lb);
+                pending.push((at, la, lb));
+            }
+        }
+        let mut summed = sched.stats().clone();
+        summed.absorb(halves[0].stats());
+        summed.absorb(halves[1].stats());
+        (one, split, whole.stats().clone(), summed)
     }
 
     #[test]
-    fn finalize_lost_needs_a_shard_delivery_to_clear() {
-        let d = line_deployment(2, 1.0);
-        let mut sched = ChannelScheduler::new(&d, lossless(5.0), &SimRng::seed_from(1));
-        let _a = sched.resolve(Timestamp::ZERO, 0, frame(0)).unwrap();
-        let b = sched.resolve(Timestamp::from_secs(1), 1, frame(1)).unwrap();
-        assert_eq!(sched.pending_lost(), 2);
-        let mut delivered = HashSet::new();
-        delivered.insert(b.key());
-        let done = sched.finalize_lost(Timestamp::from_secs(2), &delivered);
-        assert_eq!(done.len(), 2);
-        assert_eq!(sched.pending_lost(), 0);
-        let ks = sched.stats().kind(FrameKind(1));
-        assert_eq!(ks.tx_lost, 1, "only the undelivered transmission is lost");
+    fn split_ownership_replays_the_all_owning_channel_exactly() {
+        let mut cfg = lossless(2.5);
+        cfg.base_loss = 0.2;
+        // A tight defer bound, so the MAC drop path runs too.
+        cfg.max_defer = SimDuration::from_millis(15);
+        for chaos in [false, true] {
+            let (one, split, whole, summed) = run_both(&cfg, chaos);
+            assert_eq!(one.len(), split.len());
+            for (a, b) in one.iter().zip(&split) {
+                assert_eq!(a.key, b.key);
+                assert_eq!(a.outcomes, b.outcomes, "chaos={chaos}");
+                assert_eq!(a.frame.payload, b.frame.payload);
+                assert_eq!((a.duplicated, a.heard), (b.duplicated, b.heard));
+            }
+            assert_eq!(format!("{whole:?}"), format!("{summed:?}"), "chaos={chaos}");
+            // Every mechanism actually fired, so the pin is not vacuous.
+            let bites = [
+                whole.sum(|k| k.faded),
+                whole.sum(|k| k.collided),
+                whole.sum(|k| k.tx_lost),
+                whole.sum(|k| k.mac_dropped),
+            ];
+            assert!(bites.iter().all(|&c| c > 0), "chaos={chaos}: {bites:?}");
+            if chaos {
+                let bites = [
+                    whole.sum(|k| k.burst_faded),
+                    whole.sum(|k| k.partition_dropped),
+                    whole.sum(|k| k.corrupted),
+                    whole.sum(|k| k.duplicated),
+                    whole.sum(|k| k.reordered),
+                ];
+                assert!(bites.iter().all(|&c| c > 0), "{bites:?}");
+            }
+        }
     }
 
     #[test]
-    fn executor_outcomes_ignore_unrouted_traffic_and_ownership() {
-        // A full replica and a subset executor (owning only nodes 0..=2,
+    fn outcomes_ignore_unrouted_traffic_and_ownership() {
+        // An all-owning medium and a subset one (owning only nodes 0..=2,
         // routed only node 1's traffic) must agree byte-for-byte on every
         // owned outcome — the invariant partitioned routing rests on —
         // with fading and burst chains both active.
@@ -2077,11 +1677,10 @@ mod tests {
         let mut cfg = lossless(1.5);
         cfg.base_loss = 0.4;
         let rng = SimRng::seed_from(11);
-        let mut sched = ChannelScheduler::new(&d, cfg.clone(), &rng);
+        let mut sched = Medium::new(&d, cfg.clone(), &rng);
         let mut full = Medium::new(&d, cfg.clone(), &rng);
-        full.enable_shard_exec(vec![true; 6]);
         let mut sub = Medium::new(&d, cfg, &rng);
-        sub.enable_shard_exec(vec![true, true, true, false, false, false]);
+        sub.set_owned(vec![true, true, true, false, false, false]);
         full.set_burst_loss(Some(GilbertElliott::default()));
         sub.set_burst_loss(Some(GilbertElliott::default()));
         let mut now = Timestamp::ZERO;
@@ -2093,12 +1692,12 @@ mod tests {
                 .resolve(now + SimDuration::from_millis(10), seq, frame(4))
                 .unwrap();
             seq += 1;
-            let (fa, _) = full.ingest_resolved(a.clone());
-            let (fb, _) = full.ingest_resolved(b);
-            let (sa, _) = sub.ingest_resolved(a);
-            let rf = full.exec_deliveries(fa);
-            let _ = full.exec_deliveries(fb);
-            let rs = sub.exec_deliveries(sa);
+            let (fa, _) = full.ingest(a.clone());
+            let (fb, _) = full.ingest(b);
+            let (sa, _) = sub.ingest(a);
+            let rf = full.deliver(fa);
+            let _ = full.deliver(fb);
+            let rs = sub.deliver(sa);
             let full_owned: Vec<_> = rf
                 .outcomes
                 .iter()
@@ -2115,46 +1714,14 @@ mod tests {
     }
 
     #[test]
-    fn keyed_fades_hit_the_configured_rate() {
-        let d = line_deployment(2, 1.0);
-        let cfg = RadioConfig::default()
-            .with_comm_radius(5.0)
-            .with_base_loss(0.2);
-        let rng = SimRng::seed_from(7);
-        let mut sched = ChannelScheduler::new(&d, cfg.clone(), &rng);
-        let mut m = Medium::new(&d, cfg, &rng);
-        m.enable_shard_exec(vec![true, true]);
-        let mut now = Timestamp::ZERO;
-        let mut delivered = 0u32;
-        let trials = 2000u32;
-        for seq in 0..trials {
-            let rtx = sched.resolve(now, u64::from(seq), frame(0)).unwrap();
-            now = rtx.completes_at + SimDuration::from_millis(1);
-            let (local, _) = m.ingest_resolved(rtx);
-            delivered += m.exec_deliveries(local).delivered().count() as u32;
-        }
-        let rate = 1.0 - f64::from(delivered) / f64::from(trials);
-        assert!((rate - 0.2).abs() < 0.04, "keyed fade rate {rate}");
-    }
-
-    #[test]
-    #[should_panic(expected = "bypassed the ChannelScheduler")]
-    fn transmit_is_forbidden_in_executor_mode() {
-        let d = line_deployment(2, 1.0);
-        let mut m = Medium::new(&d, lossless(5.0), &SimRng::seed_from(1));
-        m.enable_shard_exec(vec![true, true]);
-        let _ = m.transmit(Timestamp::ZERO, frame(0));
-    }
-
-    #[test]
     #[should_panic(expected = "unknown or already-resolved")]
     fn double_delivery_is_a_bug() {
         let d = line_deployment(2, 1.0);
         let mut m = Medium::new(&d, lossless(5.0), &SimRng::seed_from(1));
-        let tx = m.transmit(Timestamp::ZERO, frame(0)).unwrap();
-        let _ = m.deliveries(tx.id);
-        // Push time far enough that pruning discards the record.
-        let _ = m.transmit(Timestamp::from_secs(100), frame(0)).unwrap();
-        let _ = m.deliveries(tx.id);
+        let (tx, _) = send(&mut m, Timestamp::ZERO, 0).unwrap();
+        let _ = complete(&mut m, tx);
+        // Push time far enough that pruning discards the window.
+        let _ = send(&mut m, Timestamp::from_secs(100), 0).unwrap();
+        let _ = m.deliver(tx);
     }
 }

@@ -29,19 +29,25 @@ fn check_delivery_invariants(
     let mut medium = Medium::new(&field, cfg, &SimRng::seed_from(seed));
     let mut now = Timestamp::ZERO;
     let mut pending = Vec::new();
-    for &(src, gap_ms) in sends {
+    for (seq, &(src, gap_ms)) in sends.iter().enumerate() {
         now += SimDuration::from_millis(gap_ms);
         let frame = Frame::broadcast(NodeId(src % n), FrameKind(1), Bytes::from_static(&[0; 8]));
-        if let Ok(tx) = medium.transmit(now, frame) {
-            pending.push((tx, NodeId(src % n)));
+        if let Some(rtx) = medium.resolve(now, seq as u64, frame) {
+            let (tx, completes_at) = medium.ingest(rtx);
+            pending.push((completes_at, tx, NodeId(src % n)));
         }
     }
-    // Resolve in completion order.
-    pending.sort_by_key(|(tx, _)| tx.completes_at);
+    // Deliver in completion order.
+    pending.sort_by_key(|&(completes_at, tx, _)| (completes_at, tx));
     let mut rx_pairs = 0u64;
     let mut lost_pairs = 0u64;
-    for (tx, src) in pending {
-        let report = medium.deliveries(tx.id);
+    let mut lost_txs = 0u64;
+    for (_, tx, src) in pending {
+        let report = medium.deliver(tx);
+        if !report.heard {
+            medium.note_lost(report.frame.kind);
+            lost_txs += 1;
+        }
         for (receiver, outcome) in &report.outcomes {
             let d = field.position(src).distance_to(field.position(*receiver));
             prop_assert!(d <= comm_radius + 1e-9, "delivered beyond the radio range");
@@ -55,6 +61,7 @@ fn check_delivery_invariants(
     let ks = medium.stats().kind(FrameKind(1));
     prop_assert_eq!(ks.rx, rx_pairs);
     prop_assert_eq!(ks.collided + ks.faded + ks.half_duplex, lost_pairs);
+    prop_assert_eq!(ks.tx_lost, lost_txs);
     prop_assert!(ks.tx_lost <= ks.tx);
     let ratio = ks.pair_loss_ratio();
     prop_assert!((0.0..=1.0).contains(&ratio));
@@ -94,20 +101,21 @@ prop_test! {
         let cfg = RadioConfig::default().with_comm_radius(5.0).with_base_loss(0.0);
         let mut medium = Medium::new(&field, cfg, &SimRng::seed_from(seed));
         let mut now = Timestamp::ZERO;
-        for &src in &sends {
+        for (seq, &src) in sends.iter().enumerate() {
             let frame = Frame::broadcast(NodeId(src), FrameKind(2), Bytes::from_static(&[0; 4]));
-            let tx = medium.transmit(now, frame).expect("channel idle");
-            // Wait until well past completion before resolving and sending
+            let rtx = medium.resolve(now, seq as u64, frame).expect("channel idle");
+            let (tx, completes_at) = medium.ingest(rtx);
+            // Wait until well past completion before delivering and sending
             // the next one.
-            now = tx.completes_at + SimDuration::from_millis(50);
-            let report = medium.deliveries(tx.id);
+            now = completes_at + SimDuration::from_millis(50);
+            let report = medium.deliver(tx);
+            prop_assert!(report.heard);
             prop_assert_eq!(report.outcomes.len(), 8);
             prop_assert!(report
                 .outcomes
                 .iter()
                 .all(|(_, o)| *o == DeliveryOutcome::Delivered));
         }
-        prop_assert_eq!(medium.stats().kind(FrameKind(2)).tx_lost, 0);
     }
 
     /// Greedy routing: every hop strictly decreases the distance to the

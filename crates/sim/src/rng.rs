@@ -101,8 +101,16 @@ impl SimRng {
     /// node id or a run number in a multi-run experiment.
     #[must_use]
     pub fn fork_indexed(&self, label: &str, index: u64) -> SimRng {
-        let base = self.fork(label);
-        SimRng::seed_from(base.seed ^ index.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+        self.fork(label).indexed(index)
+    }
+
+    /// Derives a child generator from an integer index alone:
+    /// `fork_indexed(label, i)` is `fork(label).indexed(i)`. Hot keyed-draw
+    /// sites fork the label once and call this per key, skipping the label
+    /// hash on every draw.
+    #[must_use]
+    pub fn indexed(&self, index: u64) -> SimRng {
+        SimRng::seed_from(self.seed ^ index.wrapping_mul(0x9e37_79b9_7f4a_7c15))
     }
 
     /// Next raw 64-bit value (the xoshiro256++ step).
@@ -269,6 +277,9 @@ mod tests {
         let mut a = parent.fork_indexed("run", 0);
         let mut b = parent.fork_indexed("run", 1);
         assert_ne!(a.next_u64(), b.next_u64());
+        // A hoisted label fork draws the same bits.
+        let mut hoisted = parent.fork("run").indexed(1);
+        assert_eq!(parent.fork_indexed("run", 1).next_u64(), hoisted.next_u64());
     }
 
     #[test]
