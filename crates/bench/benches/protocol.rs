@@ -18,6 +18,7 @@ use envirotrack_sim::queue::EventQueue;
 use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_world::field::{Deployment, NodeId};
 use envirotrack_world::geometry::Point;
+use envirotrack_world::grid::neighbor_lists;
 
 fn label() -> ContextLabel {
     ContextLabel {
@@ -141,7 +142,7 @@ fn bench_queue(out: &mut Vec<String>) {
 
 fn bench_routing(out: &mut Vec<String>) {
     let field = Deployment::grid(20, 20, 1.0);
-    let router = GeoRouter::new(&field, 1.5);
+    let router = GeoRouter::new(&field, neighbor_lists(&field, 1.5).into());
     out.push(
         measure("geo_routing/route_corner_to_corner_20x20", || {
             router

@@ -9,10 +9,10 @@
 //! virtual horizon and reports kernel events per wall-second, so node
 //! counts are directly comparable.
 //!
-//! [`construction_timing`] times the neighbor-table build under both
-//! [`NeighborStrategy`] variants on the same deployment, asserting the
-//! tables are identical before trusting the clock — the speedup number in
-//! the JSON is therefore also an equivalence witness.
+//! [`construction_timing`] times the grid neighbor-table build against the
+//! all-pairs oracle on the same deployment, asserting the tables are
+//! identical before trusting the clock — the speedup number in the JSON is
+//! therefore also an equivalence witness.
 
 use std::time::Instant;
 
@@ -21,8 +21,9 @@ use envirotrack_core::network::{NetworkConfig, SensorNetwork};
 use envirotrack_core::report::telemetry_to_jsonl;
 use envirotrack_core::shard::{run_sharded, MediumMode};
 use envirotrack_sim::time::{SimDuration, Timestamp};
-use envirotrack_world::grid::{neighbor_lists_with, NeighborStrategy};
-use envirotrack_world::scenario::ScaleScenario;
+use envirotrack_world::field::{Deployment, NodeId};
+use envirotrack_world::grid::{brute_force_neighbor_lists, neighbor_lists};
+use envirotrack_world::scenario::{ScaleScenario, Scenario};
 
 use crate::harness::{tracker_program, TRACKER};
 
@@ -45,10 +46,28 @@ pub struct ScaleRun {
     /// Virtual time to simulate. Fixed across node counts so events/sec
     /// compares apples to apples.
     pub horizon: SimDuration,
-    /// Neighbor-table construction strategy.
-    pub topology: NeighborStrategy,
     /// RNG seed.
     pub seed: u64,
+}
+
+impl ScaleRun {
+    /// The point's field and network configuration.
+    fn setup(&self) -> (Scenario, NetworkConfig) {
+        let scenario = ScaleScenario {
+            nodes: self.nodes,
+            targets: self.targets,
+            speed_hops_per_s: self.speed_hops_per_s,
+            seed: self.seed,
+            ..ScaleScenario::default()
+        }
+        .build();
+        let mut net_cfg = NetworkConfig::default();
+        net_cfg.radio = net_cfg.radio.with_comm_radius(self.comm_radius);
+        // Same footprint coupling as the tracking harness: cross-label
+        // proximity only matters within one stimulus's reach.
+        net_cfg.middleware.proximity_radius = 3.0;
+        (scenario, net_cfg)
+    }
 }
 
 impl Default for ScaleRun {
@@ -60,7 +79,6 @@ impl Default for ScaleRun {
             speed_hops_per_s: 1.0,
             comm_radius: 2.5,
             horizon: SimDuration::from_secs(10),
-            topology: NeighborStrategy::Grid,
             seed: 1,
         }
     }
@@ -93,20 +111,7 @@ pub struct ScalePoint {
 /// Runs one scale point and audits it.
 #[must_use]
 pub fn run_scale(cfg: &ScaleRun) -> ScalePoint {
-    let scenario = ScaleScenario {
-        nodes: cfg.nodes,
-        targets: cfg.targets,
-        speed_hops_per_s: cfg.speed_hops_per_s,
-        seed: cfg.seed,
-        ..ScaleScenario::default()
-    }
-    .build();
-    let mut net_cfg = NetworkConfig::default();
-    net_cfg.radio = net_cfg.radio.with_comm_radius(cfg.comm_radius);
-    net_cfg.radio.topology = cfg.topology;
-    // Same footprint coupling as the tracking harness: cross-label
-    // proximity only matters within one stimulus's reach.
-    net_cfg.middleware.proximity_radius = 3.0;
+    let (scenario, net_cfg) = cfg.setup();
 
     let build_start = Instant::now();
     let mut engine = SensorNetwork::build_engine(
@@ -150,18 +155,7 @@ pub fn run_scale(cfg: &ScaleRun) -> ScalePoint {
 /// `scale --crosscheck` writes it for byte-for-byte diffs between builds.
 #[must_use]
 pub fn crosscheck_dump(cfg: &ScaleRun) -> (String, String, u64) {
-    let scenario = ScaleScenario {
-        nodes: cfg.nodes,
-        targets: cfg.targets,
-        speed_hops_per_s: cfg.speed_hops_per_s,
-        seed: cfg.seed,
-        ..ScaleScenario::default()
-    }
-    .build();
-    let mut net_cfg = NetworkConfig::default();
-    net_cfg.radio = net_cfg.radio.with_comm_radius(cfg.comm_radius);
-    net_cfg.radio.topology = cfg.topology;
-    net_cfg.middleware.proximity_radius = 3.0;
+    let (scenario, net_cfg) = cfg.setup();
     let mut engine = SensorNetwork::build_engine(
         tracker_program(),
         scenario.deployment,
@@ -217,18 +211,7 @@ pub struct ShardScalePoint {
 /// counts and medium modes, not against [`crosscheck_dump`].
 #[must_use]
 pub fn run_scale_sharded(cfg: &ScaleRun, shards: usize, medium: MediumMode) -> ShardScalePoint {
-    let scenario = ScaleScenario {
-        nodes: cfg.nodes,
-        targets: cfg.targets,
-        speed_hops_per_s: cfg.speed_hops_per_s,
-        seed: cfg.seed,
-        ..ScaleScenario::default()
-    }
-    .build();
-    let mut net_cfg = NetworkConfig::default();
-    net_cfg.radio = net_cfg.radio.with_comm_radius(cfg.comm_radius);
-    net_cfg.radio.topology = cfg.topology;
-    net_cfg.middleware.proximity_radius = 3.0;
+    let (scenario, net_cfg) = cfg.setup();
 
     let run_start = Instant::now();
     let run = run_sharded(
@@ -277,14 +260,14 @@ pub struct ConstructionTiming {
     pub speedup: f64,
 }
 
-/// Times [`neighbor_lists_with`] under both strategies on a
+/// Times [`neighbor_lists`] against [`brute_force_neighbor_lists`] on a
 /// [`ScaleScenario`] deployment of `nodes`, taking the fastest of `reps`
 /// repetitions each.
 ///
 /// # Panics
 ///
-/// Panics if the two strategies disagree on any neighbor list — the
-/// timing is only meaningful for equivalent outputs.
+/// Panics if the two builds disagree on any neighbor list — the timing is
+/// only meaningful for equivalent outputs.
 #[must_use]
 pub fn construction_timing(nodes: u32, reps: u32) -> ConstructionTiming {
     let radius = ScaleRun::default().comm_radius;
@@ -295,24 +278,24 @@ pub fn construction_timing(nodes: u32, reps: u32) -> ConstructionTiming {
     .build()
     .deployment;
 
-    let grid = neighbor_lists_with(&deployment, radius, NeighborStrategy::Grid);
-    let brute = neighbor_lists_with(&deployment, radius, NeighborStrategy::BruteForce);
+    let grid = neighbor_lists(&deployment, radius);
+    let brute = brute_force_neighbor_lists(&deployment, radius);
     assert_eq!(
         grid, brute,
         "grid and brute-force neighbor tables must be identical"
     );
 
-    let time_ms = |strategy: NeighborStrategy| -> f64 {
+    let time_ms = |build: fn(&Deployment, f64) -> Vec<Vec<NodeId>>| -> f64 {
         let mut best = f64::INFINITY;
         for _ in 0..reps.max(1) {
             let t0 = Instant::now();
-            std::hint::black_box(neighbor_lists_with(&deployment, radius, strategy));
+            std::hint::black_box(build(&deployment, radius));
             best = best.min(t0.elapsed().as_secs_f64() * 1e3);
         }
         best
     };
-    let grid_ms = time_ms(NeighborStrategy::Grid);
-    let brute_ms = time_ms(NeighborStrategy::BruteForce);
+    let grid_ms = time_ms(neighbor_lists);
+    let brute_ms = time_ms(brute_force_neighbor_lists);
     ConstructionTiming {
         nodes,
         grid_ms,
@@ -375,18 +358,6 @@ mod tests {
         assert_eq!(a.handovers, b.handovers);
         assert!(a.events > 0, "a 200-node field must execute events");
         assert!(a.labels_created >= 1, "targets should be detected: {a:?}");
-    }
-
-    #[test]
-    fn topology_toggle_does_not_change_the_audit() {
-        let grid = run_scale(&small());
-        let brute = run_scale(&ScaleRun {
-            topology: NeighborStrategy::BruteForce,
-            ..small()
-        });
-        assert_eq!(grid.events, brute.events);
-        assert_eq!(grid.labels_created, brute.labels_created);
-        assert_eq!(grid.handovers, brute.handovers);
     }
 
     #[test]

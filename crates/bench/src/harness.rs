@@ -21,49 +21,17 @@
 //! actually under a live leader for most of its crossing (the track never
 //! went dark).
 
-use std::sync::Arc;
-
-use envirotrack_core::aggregate::{AggValue, AggregateFn, AggregateInput};
-use envirotrack_core::api::Program;
-use envirotrack_core::context::{ContextTypeId, SensePredicate};
+pub use envirotrack_core::api::tracker_program;
+use envirotrack_core::context::ContextTypeId;
 use envirotrack_core::events::SystemEvent;
 use envirotrack_core::network::{NetworkConfig, SensorNetwork};
-use envirotrack_core::object::payload;
 use envirotrack_core::wire::kinds;
 use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_world::geometry::Point;
 use envirotrack_world::scenario::TankScenario;
-use envirotrack_world::target::Channel;
 
 /// The tracker context type id (the only type in the Figure-2 program).
 pub const TRACKER: ContextTypeId = ContextTypeId(0);
-
-/// Builds the paper's Figure-2 tracking program.
-#[must_use]
-pub fn tracker_program() -> Arc<Program> {
-    Arc::new(
-        Program::builder()
-            .context("tracker", |c| {
-                c.activation(SensePredicate::threshold(Channel::Magnetic, 0.5))
-                    .aggregate(
-                        "location",
-                        AggregateFn::CenterOfGravity,
-                        AggregateInput::Position,
-                        SimDuration::from_secs(1),
-                        2,
-                    )
-                    .object("reporter", |o| {
-                        o.on_timer("report", SimDuration::from_secs(5), |ctx| {
-                            if let Ok(AggValue::Point(p)) = ctx.read("location") {
-                                ctx.send_to_base(payload::position(p));
-                            }
-                        })
-                    })
-            })
-            .build()
-            .expect("the Figure-2 program is valid"),
-    )
-}
 
 /// One configured tracking run.
 #[derive(Debug, Clone)]

@@ -34,20 +34,6 @@ pub struct ChaosCell {
     pub seed: u64,
 }
 
-impl ChaosCell {
-    /// A small default cell (10×3 grid, 60 s horizon) matching the chaos
-    /// replay tests; override the seed per sweep point.
-    #[must_use]
-    pub fn with_seed(seed: u64) -> Self {
-        ChaosCell {
-            cols: 10,
-            rows: 3,
-            horizon: SimDuration::from_secs(60),
-            seed,
-        }
-    }
-}
-
 /// Executes one chaos cell to completion: builds the scenario, installs a
 /// seed-random [`FaultPlan`] plus the invariant monitor, runs to the
 /// horizon and returns the summary record (violations included).

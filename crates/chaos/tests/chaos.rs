@@ -20,31 +20,6 @@ use testkit::prelude::*;
 
 const TRACKER: ContextTypeId = ContextTypeId(0);
 
-fn tracker_program() -> Arc<Program> {
-    Arc::new(
-        Program::builder()
-            .context("tracker", |c| {
-                c.activation(SensePredicate::threshold(Channel::Magnetic, 0.5))
-                    .aggregate(
-                        "location",
-                        AggregateFn::CenterOfGravity,
-                        AggregateInput::Position,
-                        SimDuration::from_secs(1),
-                        2,
-                    )
-                    .object("reporter", |o| {
-                        o.on_timer("report", SimDuration::from_secs(5), |ctx| {
-                            if let Ok(AggValue::Point(p)) = ctx.read("location") {
-                                ctx.send_to_base(payload::position(p));
-                            }
-                        })
-                    })
-            })
-            .build()
-            .unwrap(),
-    )
-}
-
 /// The flagship storm: crash the tracking leader mid-track, partition the
 /// field for ten seconds, and run a Gilbert–Elliott burst throughout —
 /// the run must finish with zero invariant violations and tracking

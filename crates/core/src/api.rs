@@ -41,12 +41,13 @@ use std::fmt;
 use std::sync::Arc;
 
 use envirotrack_sim::time::SimDuration;
+use envirotrack_world::target::Channel;
 
-use crate::aggregate::{AggregateFn, AggregateInput};
+use crate::aggregate::{AggValue, AggregateFn, AggregateInput};
 use crate::context::{
     AggregateSpec, ContextSpec, ContextTypeId, Invocation, MethodSpec, ObjectSpec, SensePredicate,
 };
-use crate::object::ObjectApi;
+use crate::object::{payload, ObjectApi};
 use crate::transport::Port;
 
 /// A complete, validated EnviroTrack application.
@@ -118,6 +119,37 @@ impl Program {
         }
         None
     }
+}
+
+/// The paper's Figure-2 tracking program: one `tracker` context type
+/// activated by magnetic readings above 0.5, a center-of-gravity
+/// `location` aggregate (1 s freshness, confidence 2), and a `reporter`
+/// object that sends the location to the base station every 5 s. The
+/// experiments, the session server and the chaos suites all run it.
+#[must_use]
+pub fn tracker_program() -> Arc<Program> {
+    Arc::new(
+        Program::builder()
+            .context("tracker", |c| {
+                c.activation(SensePredicate::threshold(Channel::Magnetic, 0.5))
+                    .aggregate(
+                        "location",
+                        AggregateFn::CenterOfGravity,
+                        AggregateInput::Position,
+                        SimDuration::from_secs(1),
+                        2,
+                    )
+                    .object("reporter", |o| {
+                        o.on_timer("report", SimDuration::from_secs(5), |ctx| {
+                            if let Ok(AggValue::Point(p)) = ctx.read("location") {
+                                ctx.send_to_base(payload::position(p));
+                            }
+                        })
+                    })
+            })
+            .build()
+            .expect("the Figure-2 program is valid"),
+    )
 }
 
 /// Error returned when a program declaration is invalid.

@@ -53,7 +53,7 @@ pub mod wire;
 /// The most commonly used items, for glob import.
 pub mod prelude {
     pub use crate::aggregate::{AggValue, AggregateFn, AggregateInput};
-    pub use crate::api::{Program, ProgramBuilder};
+    pub use crate::api::{tracker_program, Program, ProgramBuilder};
     pub use crate::config::MiddlewareConfig;
     pub use crate::context::{ContextLabel, ContextTypeId, SensePredicate};
     pub use crate::events::{EventLog, HandoverReason, SystemEvent};

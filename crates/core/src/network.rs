@@ -46,6 +46,7 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -299,7 +300,7 @@ impl SensorNetwork {
         let telemetry = Telemetry::new();
         let mut medium = Medium::new(&deployment, config.radio.clone(), &master);
         medium.attach_telemetry(telemetry.clone());
-        let router = GeoRouter::new(&deployment, config.radio.comm_radius);
+        let router = GeoRouter::new(&deployment, Rc::clone(medium.neighbor_table()));
         let bounds = deployment.bounds();
         let hash_points = program
             .type_ids()
@@ -370,16 +371,7 @@ impl SensorNetwork {
         config: NetworkConfig,
         seed: u64,
     ) -> Engine<SensorNetwork> {
-        let world = SensorNetwork::new(program, deployment, environment, config, seed);
-        let telemetry = world.telemetry().clone();
-        let mut engine = Engine::new(world, seed);
-        engine.kernel_mut().attach_telemetry(telemetry);
-        engine
-            .kernel_mut()
-            .schedule_at(Timestamp::ZERO, |w: &mut SensorNetwork, k| {
-                w.bootstrap(k);
-            });
-        engine
+        SensorNetwork::new(program, deployment, environment, config, seed).into_engine()
     }
 
     /// Builds one shard's replica of a sharded run: a complete world whose
@@ -417,9 +409,15 @@ impl SensorNetwork {
             .set_owned(owners.iter().map(|&s| s == shard_idx).collect());
         let nodes = world.nodes.len();
         world.shard = Some(ShardState::new(shard_idx, shards, nodes, latency));
-        let telemetry = world.telemetry().clone();
-        let mut engine = Engine::new(world, seed);
-        engine.kernel_mut().attach_telemetry(telemetry);
+        world.into_engine()
+    }
+
+    /// Wraps the world in an engine that counts events on the world's
+    /// telemetry, with the bootstrap scheduled at time zero.
+    fn into_engine(self) -> Engine<SensorNetwork> {
+        let mut engine = Engine::new(self);
+        let telemetry = engine.world().telemetry().clone();
+        engine.kernel_mut().attach_telemetry(&telemetry);
         engine
             .kernel_mut()
             .schedule_at(Timestamp::ZERO, |w: &mut SensorNetwork, k| {
@@ -518,15 +516,16 @@ impl SensorNetwork {
         &self.app_log
     }
 
+    /// The per-node neighbor table the medium and the router share.
+    #[must_use]
+    pub fn neighbor_table(&self) -> &Rc<[Vec<NodeId>]> {
+        self.medium.neighbor_table()
+    }
+
     /// Channel statistics.
     #[must_use]
     pub fn net_stats(&self) -> &NetStats {
         self.medium.stats()
-    }
-
-    /// Resets channel statistics (e.g. after warm-up).
-    pub fn reset_net_stats(&mut self) {
-        self.medium.reset_stats();
     }
 
     /// The ground-truth environment.
@@ -2365,4 +2364,25 @@ fn link_ack_seq(payload: &[u8]) -> Option<u32> {
         return None;
     }
     Some(u32::from_be_bytes(body.try_into().ok()?))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::api::tracker_program;
+
+    #[test]
+    fn router_and_medium_share_one_neighbor_table() {
+        let world = SensorNetwork::new(
+            tracker_program(),
+            Deployment::grid(8, 4, 1.0),
+            Environment::new(),
+            NetworkConfig::default(),
+            1,
+        );
+        assert!(Rc::ptr_eq(
+            world.neighbor_table(),
+            world.router.neighbor_table()
+        ));
+    }
 }

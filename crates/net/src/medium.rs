@@ -63,14 +63,14 @@
 //! orchestrator once every shard has reported.
 
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use bytes::Bytes;
 use envirotrack_sim::rng::{splitmix64, SimRng};
 use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_telemetry::{CounterHandle, Telemetry};
 use envirotrack_world::field::{Deployment, NodeId};
-use envirotrack_world::grid::neighbor_lists_with;
-pub use envirotrack_world::grid::NeighborStrategy;
+use envirotrack_world::grid::neighbor_lists;
 
 use crate::packet::{Frame, FrameKind};
 
@@ -91,12 +91,6 @@ pub struct RadioConfig {
     pub backoff_max: SimDuration,
     /// Fixed receive-path processing delay added after the last bit.
     pub proc_delay: SimDuration,
-    /// How the neighbor table is built. [`NeighborStrategy::Grid`] (the
-    /// default) buckets nodes into a uniform spatial grid — O(n·deg);
-    /// [`NeighborStrategy::BruteForce`] keeps the all-pairs scan as a
-    /// determinism cross-check. Both yield bit-identical tables, so runs
-    /// are byte-identical either way.
-    pub topology: NeighborStrategy,
 }
 
 impl Default for RadioConfig {
@@ -111,7 +105,6 @@ impl Default for RadioConfig {
             max_defer: SimDuration::from_millis(250),
             backoff_max: SimDuration::from_millis(4),
             proc_delay: SimDuration::from_millis(2),
-            topology: NeighborStrategy::Grid,
         }
     }
 }
@@ -594,7 +587,9 @@ struct BurstChain {
 /// The shared broadcast radio channel. See the [module docs](self).
 pub struct Medium {
     config: RadioConfig,
-    neighbors: Vec<Vec<NodeId>>,
+    /// Per-node neighbor lists, ascending by id. Shared: the world's
+    /// geographic router reads this same table.
+    neighbors: Rc<[Vec<NodeId>]>,
     stats: NetStats,
     /// Windows older than this horizon can no longer affect any outcome.
     prune_horizon: SimDuration,
@@ -647,7 +642,7 @@ impl Medium {
     /// every receiver, and derives its randomness streams from `rng`.
     #[must_use]
     pub fn new(deployment: &Deployment, config: RadioConfig, rng: &SimRng) -> Self {
-        let neighbors = neighbor_lists_with(deployment, config.comm_radius, config.topology);
+        let neighbors: Rc<[Vec<NodeId>]> = neighbor_lists(deployment, config.comm_radius).into();
         debug_assert!(
             neighbors
                 .iter()
@@ -712,6 +707,13 @@ impl Medium {
     #[must_use]
     pub fn config(&self) -> &RadioConfig {
         &self.config
+    }
+
+    /// The whole neighbor table, for sharing with other per-world
+    /// consumers (the geographic router) instead of rebuilding it.
+    #[must_use]
+    pub fn neighbor_table(&self) -> &Rc<[Vec<NodeId>]> {
+        &self.neighbors
     }
 
     /// The neighbours of `node` (nodes within communication radius).
@@ -1105,11 +1107,6 @@ impl Medium {
     #[must_use]
     pub fn stats(&self) -> &NetStats {
         &self.stats
-    }
-
-    /// Resets the statistics (e.g. after a warm-up phase).
-    pub fn reset_stats(&mut self) {
-        self.stats = NetStats::default();
     }
 
     fn kind_stats_mut(&mut self, kind: FrameKind) -> &mut KindStats {

@@ -16,12 +16,15 @@
 //! use envirotrack_net::routing::GeoRouter;
 //! use envirotrack_world::field::{Deployment, NodeId};
 //! use envirotrack_world::geometry::Point;
+//! use envirotrack_world::grid::neighbor_lists;
 //!
 //! let field = Deployment::grid(5, 5, 1.0);
-//! let router = GeoRouter::new(&field, 1.5);
+//! let router = GeoRouter::new(&field, neighbor_lists(&field, 1.5).into());
 //! let path = router.route(NodeId(0), Point::new(4.0, 4.0)).unwrap();
 //! assert_eq!(*path.last().unwrap(), NodeId(24));
 //! ```
+
+use std::rc::Rc;
 
 use envirotrack_world::field::{Deployment, NodeId};
 use envirotrack_world::geometry::Point;
@@ -51,19 +54,34 @@ impl std::error::Error for RoutingVoidError {}
 #[derive(Debug, Clone)]
 pub struct GeoRouter {
     positions: Vec<Point>,
-    neighbors: Vec<Vec<NodeId>>,
+    neighbors: Rc<[Vec<NodeId>]>,
 }
 
 impl GeoRouter {
-    /// Builds routing tables (neighbour lists) for `deployment` under the
-    /// given communication radius.
+    /// Builds a router over `deployment` that forwards along `neighbors`,
+    /// the per-node neighbour lists of the radio medium (shared, not
+    /// rebuilt: see `Medium::neighbor_table`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table does not have one list per node.
     #[must_use]
-    pub fn new(deployment: &Deployment, comm_radius: f64) -> Self {
-        assert!(comm_radius > 0.0, "communication radius must be positive");
+    pub fn new(deployment: &Deployment, neighbors: Rc<[Vec<NodeId>]>) -> Self {
+        assert_eq!(
+            neighbors.len(),
+            deployment.len(),
+            "one neighbour list per node"
+        );
         GeoRouter {
             positions: deployment.positions().to_vec(),
-            neighbors: envirotrack_world::grid::neighbor_lists(deployment, comm_radius),
+            neighbors,
         }
+    }
+
+    /// The neighbour table this router forwards along.
+    #[must_use]
+    pub fn neighbor_table(&self) -> &Rc<[Vec<NodeId>]> {
+        &self.neighbors
     }
 
     /// The position of `node`.
@@ -142,11 +160,16 @@ impl GeoRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use envirotrack_world::grid::neighbor_lists;
+
+    fn router(d: &Deployment, comm_radius: f64) -> GeoRouter {
+        GeoRouter::new(d, neighbor_lists(d, comm_radius).into())
+    }
 
     #[test]
     fn greedy_reaches_the_corner_on_a_grid() {
         let d = Deployment::grid(6, 6, 1.0);
-        let r = GeoRouter::new(&d, 1.5);
+        let r = router(&d, 1.5);
         let path = r.route(NodeId(0), Point::new(5.0, 5.0)).unwrap();
         assert_eq!(path.first(), Some(&NodeId(0)));
         assert_eq!(path.last(), Some(&NodeId(35)));
@@ -160,7 +183,7 @@ mod tests {
     #[test]
     fn home_node_is_the_local_minimum() {
         let d = Deployment::grid(4, 4, 1.0);
-        let r = GeoRouter::new(&d, 1.5);
+        let r = router(&d, 1.5);
         let dest = Point::new(2.2, 1.1);
         let home = r.closest_node(dest);
         assert!(r.is_home(home, dest));
@@ -172,7 +195,7 @@ mod tests {
     #[test]
     fn routing_from_home_is_a_no_op() {
         let d = Deployment::grid(3, 3, 1.0);
-        let r = GeoRouter::new(&d, 1.5);
+        let r = router(&d, 1.5);
         let dest = Point::new(1.0, 1.0);
         let path = r.route(NodeId(4), dest).unwrap();
         assert_eq!(path, vec![NodeId(4)]);
@@ -181,7 +204,7 @@ mod tests {
     #[test]
     fn off_field_destinations_route_to_the_boundary() {
         let d = Deployment::grid(4, 1, 1.0);
-        let r = GeoRouter::new(&d, 1.5);
+        let r = router(&d, 1.5);
         let path = r.route(NodeId(0), Point::new(100.0, 0.0)).unwrap();
         assert_eq!(*path.last().unwrap(), NodeId(3));
         assert_eq!(path.len(), 4);
@@ -190,8 +213,8 @@ mod tests {
     #[test]
     fn larger_radius_takes_longer_strides() {
         let d = Deployment::grid(10, 1, 1.0);
-        let short = GeoRouter::new(&d, 1.5);
-        let long = GeoRouter::new(&d, 3.5);
+        let short = router(&d, 1.5);
+        let long = router(&d, 3.5);
         let dest = Point::new(9.0, 0.0);
         let p_short = short.route(NodeId(0), dest).unwrap();
         let p_long = long.route(NodeId(0), dest).unwrap();

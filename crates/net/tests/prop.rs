@@ -8,6 +8,7 @@ use envirotrack_sim::rng::SimRng;
 use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_world::field::{Deployment, NodeId};
 use envirotrack_world::geometry::Point;
+use envirotrack_world::grid::neighbor_lists;
 use testkit::prelude::*;
 
 /// The delivery-range and statistics invariants, checked for one concrete
@@ -132,7 +133,7 @@ prop_test! {
         let field = Deployment::grid(cols, rows, 1.0);
         let start = NodeId(start % field.len() as u32);
         let dest = Point::new(dx, dy);
-        let router = GeoRouter::new(&field, comm_radius);
+        let router = GeoRouter::new(&field, neighbor_lists(&field, comm_radius).into());
         let path = router.route(start, dest).expect("grids have no voids under greedy");
         prop_assert_eq!(path[0], start);
         for w in path.windows(2) {

@@ -24,16 +24,13 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use envirotrack_core::aggregate::{AggValue, AggregateFn, AggregateInput};
-use envirotrack_core::api::Program;
-use envirotrack_core::context::{ContextTypeId, SensePredicate};
+use envirotrack_core::api::tracker_program;
+use envirotrack_core::context::ContextTypeId;
 use envirotrack_core::network::{NetworkConfig, SensorNetwork};
-use envirotrack_core::object::payload;
 use envirotrack_core::wire::session::{SessionMsg, SubAck, TrackEvent};
 use envirotrack_sim::engine::Engine;
 use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_world::scenario::TankScenario;
-use envirotrack_world::target::Channel;
 
 use crate::metrics::ServeMetrics;
 
@@ -189,32 +186,6 @@ struct World {
     subs: Vec<Subscription>,
 }
 
-/// The figure-2 tracking program every served world runs.
-fn serve_program() -> Arc<Program> {
-    Arc::new(
-        Program::builder()
-            .context("tracker", |c| {
-                c.activation(SensePredicate::threshold(Channel::Magnetic, 0.5))
-                    .aggregate(
-                        "location",
-                        AggregateFn::CenterOfGravity,
-                        AggregateInput::Position,
-                        SimDuration::from_secs(1),
-                        2,
-                    )
-                    .object("reporter", |o| {
-                        o.on_timer("report", SimDuration::from_secs(5), |ctx| {
-                            if let Ok(AggValue::Point(p)) = ctx.read("location") {
-                                ctx.send_to_base(payload::position(p));
-                            }
-                        })
-                    })
-            })
-            .build()
-            .expect("the serve tracking program is valid"),
-    )
-}
-
 fn scenario_spec(scenario: u8) -> Option<TankScenario> {
     match scenario {
         SCENARIO_TESTBED => Some(TankScenario {
@@ -245,7 +216,7 @@ fn build_world(scenario: u8, seed: u64, type_id: ContextTypeId) -> Option<World>
     let mut net_cfg = NetworkConfig::default();
     net_cfg.radio = net_cfg.radio.with_comm_radius(6.0).with_base_loss(0.05);
     let engine = SensorNetwork::build_engine(
-        serve_program(),
+        tracker_program(),
         built.deployment,
         built.environment,
         net_cfg,

@@ -2,7 +2,7 @@
 //!
 //! An [`Engine`] owns a user-supplied *world* (the mutable state of the whole
 //! simulation — nodes, radio medium, targets) and a [`Kernel`] (virtual
-//! clock, event queue, RNG). Events are boxed `FnOnce` closures invoked with
+//! clock and event queue). Events are boxed `FnOnce` closures invoked with
 //! exclusive access to both, so handlers can mutate the world *and* schedule
 //! follow-up events:
 //!
@@ -12,7 +12,7 @@
 //!
 //! struct Counter { ticks: u32 }
 //!
-//! let mut engine = Engine::new(Counter { ticks: 0 }, 42);
+//! let mut engine = Engine::new(Counter { ticks: 0 });
 //!
 //! // A self-rescheduling periodic tick.
 //! fn tick(world: &mut Counter, kernel: &mut envirotrack_sim::engine::Kernel<Counter>) {
@@ -27,74 +27,54 @@
 //! assert_eq!(engine.kernel().now(), Timestamp::from_secs(10));
 //! ```
 //!
-//! Determinism: the event queue is FIFO among equal timestamps and all
-//! randomness flows from the seed, so two runs with identical configuration
-//! produce identical traces (see `trace` support below and the integration
-//! tests).
+//! Determinism: the event queue is FIFO among equal timestamps and the
+//! kernel draws no randomness of its own (worlds own their seeded
+//! [`crate::rng::SimRng`] streams), so two runs with identical
+//! configuration execute identical event sequences.
 
 use envirotrack_telemetry::{CounterHandle, Telemetry};
 
-pub use crate::queue::EventKey;
 use crate::queue::EventQueue;
-use crate::rng::SimRng;
 use crate::time::{SimDuration, Timestamp};
 
 /// A scheduled event: a one-shot closure over the world and the kernel.
 pub type EventFn<W> = Box<dyn FnOnce(&mut W, &mut Kernel<W>)>;
 
-/// The simulation kernel: virtual clock, future-event list, and seeded RNG.
+/// The simulation kernel: virtual clock and future-event list.
 ///
-/// Handlers receive `&mut Kernel<W>` and use it to read the clock, draw
-/// randomness, schedule further events, and request a stop.
+/// Handlers receive `&mut Kernel<W>` and use it to read the clock, schedule
+/// further events, and request a stop.
 pub struct Kernel<W> {
     now: Timestamp,
     queue: EventQueue<EventFn<W>>,
-    rng: SimRng,
     stop_requested: bool,
     events_processed: u64,
-    trace: Option<TraceLog>,
-    telemetry: Option<Telemetry>,
     /// Pre-resolved `kernel.events` counter: the per-event accounting is one
     /// cell increment instead of a registry borrow + name lookup.
     events_counter: Option<CounterHandle>,
 }
 
 impl<W> Kernel<W> {
-    fn new(seed: u64) -> Self {
+    fn new() -> Self {
         Kernel {
             now: Timestamp::ZERO,
             queue: EventQueue::new(),
-            rng: SimRng::seed_from(seed),
             stop_requested: false,
             events_processed: 0,
-            trace: None,
-            telemetry: None,
             events_counter: None,
         }
     }
 
     /// Attaches the run-wide telemetry registry; the kernel counts every
     /// executed event on it (`kernel.events`).
-    pub fn attach_telemetry(&mut self, telemetry: Telemetry) {
+    pub fn attach_telemetry(&mut self, telemetry: &Telemetry) {
         self.events_counter = Some(telemetry.counter_handle("kernel.events"));
-        self.telemetry = Some(telemetry);
-    }
-
-    /// The attached telemetry registry, if any.
-    #[must_use]
-    pub fn telemetry(&self) -> Option<&Telemetry> {
-        self.telemetry.as_ref()
     }
 
     /// The current virtual time.
     #[must_use]
     pub fn now(&self) -> Timestamp {
         self.now
-    }
-
-    /// The seeded random number generator for this run.
-    pub fn rng(&mut self) -> &mut SimRng {
-        &mut self.rng
     }
 
     /// Schedules `event` to run at absolute instant `at`.
@@ -125,41 +105,6 @@ impl<W> Kernel<W> {
         self.queue.push(at, Box::new(event));
     }
 
-    /// Schedules `event` at absolute instant `at` and returns a key that
-    /// [`Kernel::cancel`] accepts while the event is still pending.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the past, like [`Kernel::schedule_at`].
-    pub fn schedule_at_cancellable<F>(&mut self, at: Timestamp, event: F) -> EventKey
-    where
-        F: FnOnce(&mut W, &mut Kernel<W>) + 'static,
-    {
-        assert!(
-            at >= self.now,
-            "cannot schedule into the past: now={} at={}",
-            self.now,
-            at
-        );
-        self.queue.push_keyed(at, Box::new(event))
-    }
-
-    /// Schedules `event` after `delay`, returning a cancellation key.
-    pub fn schedule_in_cancellable<F>(&mut self, delay: SimDuration, event: F) -> EventKey
-    where
-        F: FnOnce(&mut W, &mut Kernel<W>) + 'static,
-    {
-        let at = self.now.saturating_add(delay);
-        self.queue.push_keyed(at, Box::new(event))
-    }
-
-    /// Cancels a pending event. Returns whether anything was cancelled —
-    /// `false` for a key whose event already ran or was already cancelled
-    /// (a one-shot timer racing its own cancellation is not a bug).
-    pub fn cancel(&mut self, key: EventKey) -> bool {
-        self.queue.cancel(key).is_some()
-    }
-
     /// Requests that the run loop stop after the current event completes.
     pub fn stop(&mut self) {
         self.stop_requested = true;
@@ -175,25 +120,6 @@ impl<W> Kernel<W> {
     #[must_use]
     pub fn pending_events(&self) -> usize {
         self.queue.len()
-    }
-
-    /// Enables trace capture with the given capacity (older entries beyond
-    /// the capacity are dropped). Used by determinism tests.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(TraceLog::with_capacity(capacity));
-    }
-
-    /// Records a trace entry if tracing is enabled; free otherwise.
-    pub fn trace(&mut self, label: impl FnOnce() -> String) {
-        if let Some(t) = &mut self.trace {
-            t.record(self.now, label());
-        }
-    }
-
-    /// The captured trace, if tracing was enabled.
-    #[must_use]
-    pub fn trace_log(&self) -> Option<&TraceLog> {
-        self.trace.as_ref()
     }
 }
 
@@ -233,10 +159,10 @@ impl<W> Engine<W> {
     /// Default safety cap on the number of events per run-call.
     pub const DEFAULT_EVENT_LIMIT: u64 = 2_000_000_000;
 
-    /// Creates an engine over `world`, seeding all randomness from `seed`.
-    pub fn new(world: W, seed: u64) -> Self {
+    /// Creates an engine over `world` with an empty event queue at time zero.
+    pub fn new(world: W) -> Self {
         Engine {
-            kernel: Kernel::new(seed),
+            kernel: Kernel::new(),
             world,
             event_limit: Self::DEFAULT_EVENT_LIMIT,
         }
@@ -267,11 +193,6 @@ impl<W> Engine<W> {
     /// Exclusive access to the kernel (e.g. to schedule initial events).
     pub fn kernel_mut(&mut self) -> &mut Kernel<W> {
         &mut self.kernel
-    }
-
-    /// Consumes the engine, returning the final world.
-    pub fn into_world(self) -> W {
-        self.world
     }
 
     /// Executes exactly one event if one is pending, returning its time.
@@ -321,12 +242,6 @@ impl<W> Engine<W> {
         }
     }
 
-    /// Runs for `span` of virtual time from the current instant.
-    pub fn run_for(&mut self, span: SimDuration) -> RunOutcome {
-        let horizon = self.kernel.now.saturating_add(span);
-        self.run_until(horizon)
-    }
-
     /// Runs until the queue drains or a handler stops the run.
     pub fn run_to_completion(&mut self) -> RunOutcome {
         self.run_until(Timestamp::MAX)
@@ -342,50 +257,6 @@ impl<W: std::fmt::Debug> std::fmt::Debug for Engine<W> {
     }
 }
 
-/// A bounded in-order log of `(time, label)` trace points.
-///
-/// Two runs of the same configuration must produce byte-identical trace
-/// logs; the determinism integration tests assert exactly that.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TraceLog {
-    entries: Vec<(Timestamp, String)>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl TraceLog {
-    /// Creates a log that keeps at most `capacity` entries.
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        TraceLog {
-            entries: Vec::new(),
-            capacity,
-            dropped: 0,
-        }
-    }
-
-    /// Appends an entry, dropping it (counted) if the log is full.
-    pub fn record(&mut self, at: Timestamp, label: String) {
-        if self.entries.len() < self.capacity {
-            self.entries.push((at, label));
-        } else {
-            self.dropped += 1;
-        }
-    }
-
-    /// The captured entries in execution order.
-    #[must_use]
-    pub fn entries(&self) -> &[(Timestamp, String)] {
-        &self.entries
-    }
-
-    /// How many entries were dropped because the log filled up.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -397,7 +268,7 @@ mod tests {
 
     #[test]
     fn events_run_in_time_order_with_fifo_ties() {
-        let mut e = Engine::new(World::default(), 1);
+        let mut e = Engine::new(World::default());
         e.kernel_mut()
             .schedule_at(Timestamp::from_secs(2), |w: &mut World, k| {
                 w.log.push((k.now().as_micros(), "b"));
@@ -426,7 +297,7 @@ mod tests {
     #[test]
     fn post_horizon_scheduling_at_the_horizon_runs_next() {
         let b = Timestamp::from_secs(2);
-        let mut e = Engine::new(World::default(), 1);
+        let mut e = Engine::new(World::default());
         e.kernel_mut().schedule_at(b, |w: &mut World, _| {
             w.log.push((0, "pre-barrier"));
         });
@@ -452,7 +323,7 @@ mod tests {
 
     #[test]
     fn handlers_can_schedule_followups() {
-        let mut e = Engine::new(World::default(), 1);
+        let mut e = Engine::new(World::default());
         e.kernel_mut()
             .schedule_at(Timestamp::from_secs(1), |_w: &mut World, k| {
                 k.schedule_in(SimDuration::from_secs(1), |w: &mut World, k| {
@@ -465,7 +336,7 @@ mod tests {
 
     #[test]
     fn run_until_respects_horizon_and_advances_clock() {
-        let mut e = Engine::new(World::default(), 1);
+        let mut e = Engine::new(World::default());
         e.kernel_mut()
             .schedule_at(Timestamp::from_secs(5), |w: &mut World, _| {
                 w.log.push((5, "late"));
@@ -486,7 +357,7 @@ mod tests {
 
     #[test]
     fn stop_interrupts_the_run() {
-        let mut e = Engine::new(World::default(), 1);
+        let mut e = Engine::new(World::default());
         e.kernel_mut()
             .schedule_at(Timestamp::from_secs(1), |_: &mut World, k| k.stop());
         e.kernel_mut()
@@ -505,7 +376,7 @@ mod tests {
         fn forever(_: &mut World, k: &mut Kernel<World>) {
             k.schedule_in(SimDuration::from_micros(1), forever);
         }
-        let mut e = Engine::new(World::default(), 1);
+        let mut e = Engine::new(World::default());
         e.set_event_limit(1000);
         e.kernel_mut().schedule_at(Timestamp::ZERO, forever);
         assert_eq!(e.run_to_completion(), RunOutcome::EventLimit);
@@ -513,73 +384,13 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_events_never_fire_and_stale_cancels_are_noops() {
-        let mut e = Engine::new(World::default(), 1);
-        let doomed = e
-            .kernel_mut()
-            .schedule_at_cancellable(Timestamp::from_secs(1), |w: &mut World, _| {
-                w.log.push((1, "doomed"));
-            });
-        e.kernel_mut()
-            .schedule_at(Timestamp::from_secs(2), |w: &mut World, _| {
-                w.log.push((2, "kept"));
-            });
-        let fired = e
-            .kernel_mut()
-            .schedule_in_cancellable(SimDuration::from_secs(3), |w: &mut World, _| {
-                w.log.push((3, "fired"));
-            });
-        assert!(e.kernel_mut().cancel(doomed));
-        assert!(!e.kernel_mut().cancel(doomed), "double cancel is a no-op");
-        assert_eq!(e.run_to_completion(), RunOutcome::QueueDrained);
-        assert_eq!(e.world().log, vec![(2, "kept"), (3, "fired")]);
-        assert!(
-            !e.kernel_mut().cancel(fired),
-            "cancelling an already-fired event is a no-op"
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "cannot schedule into the past")]
     fn scheduling_into_the_past_panics() {
-        let mut e = Engine::new(World::default(), 1);
+        let mut e = Engine::new(World::default());
         e.kernel_mut()
             .schedule_at(Timestamp::from_secs(1), |_: &mut World, _| {});
         e.run_to_completion();
         e.kernel_mut()
             .schedule_at(Timestamp::ZERO, |_: &mut World, _| {});
-    }
-
-    #[test]
-    fn identical_seeds_produce_identical_traces() {
-        fn run(seed: u64) -> TraceLog {
-            let mut e = Engine::new(World::default(), seed);
-            e.kernel_mut().enable_trace(1024);
-            fn step(n: u32) -> impl FnOnce(&mut World, &mut Kernel<World>) {
-                move |_, k| {
-                    let draw = k.rng().below(100);
-                    k.trace(|| format!("step {n} draw {draw}"));
-                    if n < 20 {
-                        let jitter = SimDuration::from_micros(k.rng().below(5000));
-                        k.schedule_in(jitter, step(n + 1));
-                    }
-                }
-            }
-            e.kernel_mut().schedule_at(Timestamp::ZERO, step(0));
-            e.run_to_completion();
-            e.kernel().trace_log().unwrap().clone()
-        }
-        assert_eq!(run(99), run(99));
-        assert_ne!(run(99), run(100));
-    }
-
-    #[test]
-    fn trace_log_caps_and_counts_drops() {
-        let mut log = TraceLog::with_capacity(2);
-        log.record(Timestamp::ZERO, "a".into());
-        log.record(Timestamp::ZERO, "b".into());
-        log.record(Timestamp::ZERO, "c".into());
-        assert_eq!(log.entries().len(), 2);
-        assert_eq!(log.dropped(), 1);
     }
 }

@@ -9,10 +9,14 @@
 //!
 //! * [`time`] — integral virtual time ([`time::Timestamp`],
 //!   [`time::SimDuration`]).
-//! * [`queue`] — a future-event list that is FIFO among equal timestamps.
+//! * [`queue`] — a binary-heap future-event list, FIFO among equal
+//!   timestamps.
 //! * [`rng`] — seeded, forkable randomness ([`rng::SimRng`]).
 //! * [`engine`] — the run loop ([`engine::Engine`], [`engine::Kernel`]).
-//! * [`metrics`] — counters, streaming stats, histograms.
+//!
+//! Counters and histograms live in `envirotrack-telemetry`; the kernel
+//! counts executed events there (`kernel.events`) once a registry is
+//! attached.
 //!
 //! ## Example
 //!
@@ -21,7 +25,7 @@
 //!
 //! struct World { pings: u32 }
 //!
-//! let mut engine = Engine::new(World { pings: 0 }, 0xE417);
+//! let mut engine = Engine::new(World { pings: 0 });
 //! engine.kernel_mut().schedule_at(Timestamp::from_secs(1), |w: &mut World, _k| {
 //!     w.pings += 1;
 //! });
@@ -31,13 +35,12 @@
 //!
 //! ## Determinism contract
 //!
-//! Given identical world construction, identical scheduled events, and an
-//! identical seed, two runs execute byte-identical event sequences. The
-//! contract rests on (a) integral timestamps, (b) FIFO tie-breaking in the
-//! queue, and (c) all randomness flowing from [`rng::SimRng`].
+//! Given identical world construction and identical scheduled events, two
+//! runs execute byte-identical event sequences. The contract rests on
+//! (a) integral timestamps, (b) FIFO tie-breaking in the queue, and (c) all
+//! randomness flowing from seeded [`rng::SimRng`] streams the world owns.
 
 pub mod engine;
-pub mod metrics;
 pub mod queue;
 pub mod rng;
 pub mod time;
@@ -45,7 +48,6 @@ pub mod time;
 /// The most commonly used items, for glob import.
 pub mod prelude {
     pub use crate::engine::{Engine, Kernel, RunOutcome};
-    pub use crate::metrics::{Counter, Histogram, RunningStats};
     pub use crate::rng::SimRng;
     pub use crate::time::{SimDuration, Timestamp};
 }

@@ -20,63 +20,37 @@
 //! assert_eq!(q.pop(), None);
 //! ```
 //!
-//! ## Storage: slot slab + free-list
-//!
-//! Items live in a *slab* of slots; the heap orders lightweight
-//! `(time, seq, slot, generation)` entries that point into it. Popped and
-//! cancelled slots go onto a free-list and are reused by later pushes, so a
-//! steady-state simulation recycles a bounded working set of slots instead
-//! of growing (or repeatedly reallocating) per event. The indirection is
-//! also what makes O(log n) cancellation possible:
-//!
-//! * [`EventQueue::push_keyed`] returns an [`EventKey`];
-//! * [`EventQueue::cancel`] retires that key's item immediately (the stale
-//!   heap entry is skipped lazily when it surfaces);
-//! * generations disambiguate a reused slot from the key of its previous
-//!   occupant, so a stale key can never cancel somebody else's event.
-//!
-//! Pooling can be disabled ([`EventQueue::with_pooling`]) for A/B testing —
-//! the property suite asserts pop order and cancellation semantics are
-//! identical either way.
+//! The queue is a binary heap of `(time, seq, item)` entries, where `seq`
+//! is a per-queue insertion counter. It has no cancellation: protocol
+//! timers are re-armable and invalidate stale firings lazily with a
+//! generation token (`envirotrack_node::timer::TimerToken`), so a
+//! superseded event simply runs as a no-op when it surfaces.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::time::Timestamp;
 
-/// A handle to one scheduled event, returned by [`EventQueue::push_keyed`].
-///
-/// Keys are one-shot: once the event pops or is cancelled, the key goes
-/// stale and [`EventQueue::cancel`] on it is a no-op — even if the
-/// underlying slot has been reused by a later push.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventKey {
-    slot: u32,
-    generation: u32,
-}
-
-/// One heap entry: ordering metadata plus a pointer into the slab. Ordered
-/// so that the binary heap (a max-heap) pops the earliest time first, then
-/// the lowest sequence number.
-struct Entry {
+/// One heap entry. Ordered so that the binary heap (a max-heap) pops the
+/// earliest time first, then the lowest sequence number.
+struct Entry<E> {
     at: Timestamp,
     seq: u64,
-    slot: u32,
-    generation: u32,
+    item: E,
 }
 
-impl PartialEq for Entry {
+impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.seq == other.seq
     }
 }
-impl Eq for Entry {}
-impl PartialOrd for Entry {
+impl<E> Eq for Entry<E> {}
+impl<E> PartialOrd for Entry<E> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for Entry {
+impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: BinaryHeap is a max-heap but we want the earliest entry.
         other
@@ -86,185 +60,54 @@ impl Ord for Entry {
     }
 }
 
-/// One slab slot. `generation` advances every time the occupant leaves
-/// (pop or cancel), invalidating outstanding keys and stale heap entries.
-struct Slot<E> {
-    item: Option<E>,
-    generation: u32,
-}
-
 /// A priority queue of timed events with deterministic FIFO ordering among
-/// events scheduled for the same instant, slab-backed with a slot
-/// free-list (see the [module docs](self)).
+/// events scheduled for the same instant.
 ///
 /// The queue never reorders same-time events, so a simulation driven from it
 /// is a pure function of its inputs and RNG seed.
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry>,
-    slots: Vec<Slot<E>>,
-    free: Vec<u32>,
-    pooling: bool,
+    heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
-    live: usize,
-    reused_slots: u64,
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue with slot pooling enabled.
+    /// Creates an empty queue.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_pooling(true)
-    }
-
-    /// Creates an empty queue, choosing whether retired slots are recycled
-    /// (`true`, the default) or abandoned (`false`; every push allocates a
-    /// fresh slot). Observable behaviour is identical either way — the
-    /// property suite pins that.
-    #[must_use]
-    pub fn with_pooling(pooling: bool) -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            slots: Vec::new(),
-            free: Vec::new(),
-            pooling,
             next_seq: 0,
-            live: 0,
-            reused_slots: 0,
         }
     }
 
     /// Schedules `item` to fire at instant `at`.
     pub fn push(&mut self, at: Timestamp, item: E) {
-        let _ = self.push_keyed(at, item);
-    }
-
-    /// Schedules `item` to fire at instant `at`, returning a key that can
-    /// cancel it before it pops.
-    pub fn push_keyed(&mut self, at: Timestamp, item: E) -> EventKey {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let slot = match self.free.pop() {
-            Some(i) => {
-                self.reused_slots += 1;
-                self.slots[i as usize].item = Some(item);
-                i
-            }
-            None => {
-                let i = u32::try_from(self.slots.len()).expect("slab under u32::MAX slots");
-                self.slots.push(Slot {
-                    item: Some(item),
-                    generation: 0,
-                });
-                i
-            }
-        };
-        let generation = self.slots[slot as usize].generation;
-        self.heap.push(Entry {
-            at,
-            seq,
-            slot,
-            generation,
-        });
-        self.live += 1;
-        EventKey { slot, generation }
-    }
-
-    /// Cancels a pending event, returning its item, or `None` when the key
-    /// is stale (already popped, already cancelled, or from a cleared
-    /// queue). The heap entry is discarded lazily when it surfaces.
-    pub fn cancel(&mut self, key: EventKey) -> Option<E> {
-        let slot = self.slots.get_mut(key.slot as usize)?;
-        if slot.generation != key.generation {
-            return None;
-        }
-        let item = slot.item.take()?;
-        self.retire(key.slot);
-        self.live -= 1;
-        Some(item)
+        self.heap.push(Entry { at, seq, item });
     }
 
     /// Removes and returns the earliest event, or `None` when empty.
     pub fn pop(&mut self) -> Option<(Timestamp, E)> {
-        loop {
-            let entry = self.heap.pop()?;
-            let slot = &mut self.slots[entry.slot as usize];
-            if slot.generation != entry.generation {
-                // Cancelled (or cleared) behind this entry's back: skip.
-                continue;
-            }
-            let item = slot
-                .item
-                .take()
-                .expect("live generation implies an occupied slot");
-            self.retire(entry.slot);
-            self.live -= 1;
-            return Some((entry.at, item));
-        }
+        self.heap.pop().map(|e| (e.at, e.item))
     }
 
-    /// Advances a vacated slot's generation and (under pooling) recycles it.
-    fn retire(&mut self, slot: u32) {
-        let s = &mut self.slots[slot as usize];
-        s.generation = s.generation.wrapping_add(1);
-        if self.pooling {
-            self.free.push(slot);
-        }
-    }
-
-    /// The firing time of the earliest pending event, if any. Discards any
-    /// cancelled entries sitting on top of the heap, so the answer is exact.
+    /// The firing time of the earliest pending event, if any.
     #[must_use]
-    pub fn peek_time(&mut self) -> Option<Timestamp> {
-        loop {
-            let entry = self.heap.peek()?;
-            if self.slots[entry.slot as usize].generation == entry.generation {
-                return Some(entry.at);
-            }
-            let _ = self.heap.pop();
-        }
+    pub fn peek_time(&self) -> Option<Timestamp> {
+        self.heap.peek().map(|e| e.at)
     }
 
-    /// Number of pending (non-cancelled) events.
+    /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.live
+        self.heap.len()
     }
 
     /// Whether no events are pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// Number of slab slots ever allocated — the high-water mark of
-    /// concurrently pending events when pooling is on.
-    #[must_use]
-    pub fn allocated_slots(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// How many pushes were satisfied from the free-list instead of a
-    /// fresh slot allocation.
-    #[must_use]
-    pub fn reused_slots(&self) -> u64 {
-        self.reused_slots
-    }
-
-    /// Drops all pending events. Outstanding keys go stale (their slots'
-    /// generations advance, so they can never match a later occupant); the
-    /// slab itself is retained for reuse.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        self.free.clear();
-        for (i, s) in self.slots.iter_mut().enumerate() {
-            if s.item.take().is_some() {
-                s.generation = s.generation.wrapping_add(1);
-            }
-            if self.pooling {
-                self.free.push(u32::try_from(i).expect("slab under u32::MAX slots"));
-            }
-        }
-        self.live = 0;
+        self.heap.is_empty()
     }
 }
 
@@ -277,9 +120,7 @@ impl<E> Default for EventQueue<E> {
 impl<E> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
-            .field("len", &self.live)
-            .field("slots", &self.slots.len())
-            .field("pooling", &self.pooling)
+            .field("len", &self.heap.len())
             .finish()
     }
 }
@@ -333,89 +174,8 @@ mod tests {
         q.push(Timestamp::from_secs(4), ());
         assert_eq!(q.len(), 2);
         assert_eq!(q.peek_time(), Some(Timestamp::from_secs(4)));
-        q.clear();
+        q.pop();
+        q.pop();
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn cancel_removes_the_event_and_returns_its_item() {
-        let mut q = EventQueue::new();
-        let a = q.push_keyed(Timestamp::from_secs(1), "a");
-        let _b = q.push_keyed(Timestamp::from_secs(2), "b");
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.cancel(a), Some("a"));
-        assert_eq!(q.len(), 1);
-        // Cancellation is visible to peek immediately.
-        assert_eq!(q.peek_time(), Some(Timestamp::from_secs(2)));
-        assert_eq!(q.pop(), Some((Timestamp::from_secs(2), "b")));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn stale_keys_are_noops() {
-        let mut q = EventQueue::new();
-        let a = q.push_keyed(Timestamp::from_secs(1), 1);
-        assert_eq!(q.cancel(a), Some(1));
-        assert_eq!(q.cancel(a), None, "double cancel");
-        // The slot is reused by the next push; the old key must not be able
-        // to cancel the new occupant.
-        let b = q.push_keyed(Timestamp::from_secs(2), 2);
-        assert_eq!(q.cancel(a), None, "stale key on a reused slot");
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.cancel(b), Some(2));
-        // A popped event's key is stale too.
-        let c = q.push_keyed(Timestamp::from_secs(3), 3);
-        assert_eq!(q.pop(), Some((Timestamp::from_secs(3), 3)));
-        assert_eq!(q.cancel(c), None, "key of a popped event");
-    }
-
-    #[test]
-    fn pooling_recycles_slots_in_steady_state() {
-        let mut q = EventQueue::new();
-        for i in 0..1000u64 {
-            q.push(Timestamp::from_micros(i), i);
-            let _ = q.pop();
-        }
-        assert!(
-            q.allocated_slots() <= 2,
-            "steady-state push/pop must recycle, got {} slots",
-            q.allocated_slots()
-        );
-        assert!(q.reused_slots() >= 999);
-
-        let mut churn = EventQueue::<u64>::with_pooling(false);
-        for i in 0..100u64 {
-            churn.push(Timestamp::from_micros(i), i);
-            let _ = churn.pop();
-        }
-        assert_eq!(churn.allocated_slots(), 100, "pooling off never recycles");
-        assert_eq!(churn.reused_slots(), 0);
-    }
-
-    #[test]
-    fn keys_from_before_clear_cannot_touch_later_occupants() {
-        let mut q = EventQueue::new();
-        let old = q.push_keyed(Timestamp::from_secs(1), "old");
-        q.clear();
-        assert_eq!(q.cancel(old), None);
-        let _new = q.push_keyed(Timestamp::from_secs(2), "new");
-        assert_eq!(q.cancel(old), None, "pre-clear key on a recycled slot");
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop(), Some((Timestamp::from_secs(2), "new")));
-    }
-
-    #[test]
-    fn cancelled_entries_do_not_disturb_fifo_order() {
-        let mut q = EventQueue::new();
-        let t = Timestamp::from_secs(1);
-        let keys: Vec<EventKey> = (0..10).map(|i| q.push_keyed(t, i)).collect();
-        // Cancel the odd ones; evens must still pop in insertion order.
-        for (i, k) in keys.iter().enumerate() {
-            if i % 2 == 1 {
-                assert!(q.cancel(*k).is_some());
-            }
-        }
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec![0, 2, 4, 6, 8]);
     }
 }

@@ -127,12 +127,6 @@ impl SimRng {
         result
     }
 
-    /// Next raw 32-bit value (the upper half of a 64-bit draw, which is the
-    /// better-mixed half for xoshiro-family generators).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// A uniform value in `[0, 1)`, using the top 53 bits of a draw.
     pub fn uniform(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -196,24 +190,6 @@ impl SimRng {
             if s > 0.0 && s < 1.0 {
                 return u * (-2.0 * s.ln() / s).sqrt();
             }
-        }
-    }
-
-    /// Picks a uniformly random element of a slice, or `None` when empty.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
-        if items.is_empty() {
-            None
-        } else {
-            let i = self.below(items.len() as u64) as usize;
-            Some(&items[i])
-        }
-    }
-
-    /// Fisher–Yates shuffles a slice in place.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            items.swap(i, j);
         }
     }
 }
@@ -344,23 +320,5 @@ mod tests {
         for (i, &c) in counts.iter().enumerate() {
             assert!((4_500..=5_500).contains(&c), "bucket {i} got {c}");
         }
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut rng = SimRng::seed_from(9);
-        let mut v: Vec<u32> = (0..50).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn choose_handles_empty_and_singleton() {
-        let mut rng = SimRng::seed_from(2);
-        let empty: [u8; 0] = [];
-        assert_eq!(rng.choose(&empty), None);
-        assert_eq!(rng.choose(&[42]), Some(&42));
     }
 }

@@ -158,12 +158,6 @@ impl SimDuration {
         self.0
     }
 
-    /// Whole milliseconds (truncating).
-    #[must_use]
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// This span expressed in (possibly fractional) seconds.
     #[must_use]
     pub fn as_secs_f64(self) -> f64 {
@@ -344,7 +338,7 @@ mod tests {
     fn construction_round_trips() {
         assert_eq!(Timestamp::from_secs(3).as_micros(), 3_000_000);
         assert_eq!(Timestamp::from_millis(3).as_micros(), 3_000);
-        assert_eq!(SimDuration::from_secs(2).as_millis(), 2_000);
+        assert_eq!(SimDuration::from_secs(2).as_micros(), 2_000_000);
         assert_eq!(SimDuration::from_secs_f64(0.25).as_micros(), 250_000);
     }
 

@@ -1,6 +1,5 @@
 //! Property-based tests for the simulation kernel.
 
-use envirotrack_sim::metrics::RunningStats;
 use envirotrack_sim::queue::EventQueue;
 use envirotrack_sim::rng::SimRng;
 use envirotrack_sim::time::{SimDuration, Timestamp};
@@ -28,84 +27,51 @@ prop_test! {
         }
     }
 
-    /// Slot pooling is invisible to queue semantics: a pooled and an
-    /// unpooled queue driven by the same randomized push/cancel/pop
-    /// schedule agree on every pop result, every cancellation outcome
-    /// (including stale keys), and every intermediate length/peek.
+    /// The queue agrees with a reference model — pending items kept in
+    /// insertion order, popped by the earliest time with the lowest
+    /// insertion index winning ties (a stable sort by time) — on every pop,
+    /// peek and length across randomized interleavings. Pushes land at or
+    /// after the last popped instant, as the kernel allows, and some land
+    /// exactly *at* it: the barrier-injection pattern the sharded kernel
+    /// relies on, which must pop next, ahead of every later entry.
     #[test]
-    fn queue_pooling_never_changes_pop_or_cancel_semantics(
+    fn queue_matches_a_stable_sort_reference_model(
         ops in prop::collection::vec((0u8..8, 0u64..500), 1..300),
     ) {
-        let mut pooled = EventQueue::new();
-        let mut plain = EventQueue::with_pooling(false);
-        let mut pooled_keys = Vec::new();
-        let mut plain_keys = Vec::new();
+        let mut q = EventQueue::new();
+        let mut model: Vec<(Timestamp, usize)> = Vec::new();
+        let mut now = Timestamp::ZERO;
         let mut next_item = 0usize;
         for &(op, t) in &ops {
             match op {
-                // Bias toward pushes so schedules grow interesting.
-                0..=3 => {
-                    let at = Timestamp::from_micros(t);
-                    pooled_keys.push(pooled.push_keyed(at, next_item));
-                    plain_keys.push(plain.push_keyed(at, next_item));
+                0..=4 => {
+                    // Op 4 injects at the current instant; the rest
+                    // schedule up to 500 µs ahead of it.
+                    let at = if op == 4 { now } else { now + SimDuration::from_micros(t) };
+                    q.push(at, next_item);
+                    model.push((at, next_item));
                     next_item += 1;
                 }
-                4 | 5 if !pooled_keys.is_empty() => {
-                    // Cancel an arbitrary previously issued key; stale
-                    // (already popped/cancelled) keys must be no-ops in
-                    // both queues alike.
-                    let pick = t as usize % pooled_keys.len();
-                    let a = pooled.cancel(pooled_keys[pick]);
-                    let b = plain.cancel(plain_keys[pick]);
-                    prop_assert_eq!(a, b, "cancel outcome diverged");
-                }
                 _ => {
-                    prop_assert_eq!(pooled.pop(), plain.pop(), "pop diverged");
+                    // Items are numbered in insertion order, so tuple
+                    // order (time, item) is the model's pop order.
+                    let expected = model.iter().copied().min();
+                    model.retain(|&e| Some(e) != expected);
+                    let got = q.pop();
+                    prop_assert_eq!(got, expected, "pop diverged from the model");
+                    if let Some((at, _)) = got {
+                        now = at;
+                    }
                 }
             }
-            prop_assert_eq!(pooled.len(), plain.len());
-            prop_assert_eq!(pooled.peek_time(), plain.peek_time());
+            prop_assert_eq!(q.len(), model.len());
+            prop_assert_eq!(q.is_empty(), model.is_empty());
+            prop_assert_eq!(q.peek_time(), model.iter().map(|&(at, _)| at).min());
         }
-        // Drain both to the end: the tails must match exactly too.
-        loop {
-            let (a, b) = (pooled.pop(), plain.pop());
-            prop_assert_eq!(a, b, "drain diverged");
-            if a.is_none() {
-                break;
-            }
-        }
-        prop_assert!(pooled.reused_slots() >= plain.reused_slots());
-        prop_assert_eq!(plain.reused_slots(), 0);
-    }
-
-    /// Welford statistics match the naive two-pass computation.
-    #[test]
-    fn running_stats_match_naive(xs in prop::collection::vec(-1e6f64..1e6, 1..200)) {
-        let stats: RunningStats = xs.iter().copied().collect();
-        let n = xs.len() as f64;
-        let mean = xs.iter().sum::<f64>() / n;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
-        prop_assert!((stats.mean() - mean).abs() <= 1e-6 * (1.0 + mean.abs()));
-        prop_assert!((stats.variance() - var).abs() <= 1e-5 * (1.0 + var.abs()));
-        let min = xs.iter().copied().fold(f64::INFINITY, f64::min);
-        let max = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        prop_assert_eq!(stats.min(), Some(min));
-        prop_assert_eq!(stats.max(), Some(max));
-    }
-
-    /// Merging split halves equals processing the whole stream.
-    #[test]
-    fn running_stats_merge_is_associative(
-        xs in prop::collection::vec(-1e3f64..1e3, 0..100),
-        ys in prop::collection::vec(-1e3f64..1e3, 0..100),
-    ) {
-        let mut a: RunningStats = xs.iter().copied().collect();
-        let b: RunningStats = ys.iter().copied().collect();
-        a.merge(&b);
-        let whole: RunningStats = xs.iter().chain(ys.iter()).copied().collect();
-        prop_assert_eq!(a.len(), whole.len());
-        prop_assert!((a.mean() - whole.mean()).abs() < 1e-6);
-        prop_assert!((a.variance() - whole.variance()).abs() < 1e-3);
+        // Drain: the tail must come out as the stable sort of the model.
+        model.sort_by_key(|&(at, _)| at);
+        let drained: Vec<(Timestamp, usize)> = std::iter::from_fn(|| q.pop()).collect();
+        prop_assert_eq!(drained, model);
     }
 
     /// Timestamp/duration arithmetic is consistent: (t + d) − t == d and

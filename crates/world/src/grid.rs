@@ -12,26 +12,12 @@
 //!
 //! [`neighbor_lists`] returns per-node lists sorted ascending by
 //! [`NodeId`] — exactly the lists the brute-force scan produces, in the
-//! same order, which keeps every downstream consumer (radio medium,
-//! geographic router, delivery walks) byte-identical regardless of which
-//! construction built the table. The brute-force path stays available via
-//! [`NeighborStrategy::BruteForce`] as a test oracle and determinism
-//! cross-check.
+//! same order. The all-pairs scan stays available as
+//! [`brute_force_neighbor_lists`], the O(n²) oracle that property tests,
+//! the medium's pins and the construction benchmark compare against.
 
 use crate::field::{Deployment, NodeId};
 use crate::geometry::Point;
-
-/// How to build the neighbor table from a deployment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum NeighborStrategy {
-    /// Bucket nodes into a uniform grid and scan the 9-cell stencil:
-    /// O(n · deg). The default.
-    #[default]
-    Grid,
-    /// Compare all pairs: O(n²). Kept as the oracle for property tests and
-    /// the determinism pin; produces bit-identical tables to `Grid`.
-    BruteForce,
-}
 
 /// A uniform bucket grid over a deployment, cell side `>= radius`.
 ///
@@ -222,51 +208,44 @@ pub fn shard_interest_ranges(
         .collect()
 }
 
-/// Builds per-node neighbor lists (all nodes strictly within `radius`,
-/// inclusive) using the default [`NeighborStrategy::Grid`]. Each list is
-/// sorted ascending by [`NodeId`].
+/// Builds per-node neighbor lists: for every node, the ids of all *other*
+/// nodes at distance `<= radius`, ascending by [`NodeId`]. Buckets nodes
+/// into a [`SpatialGrid`] and scans each node's 9-cell stencil, O(n · deg).
 #[must_use]
 pub fn neighbor_lists(deployment: &Deployment, radius: f64) -> Vec<Vec<NodeId>> {
-    neighbor_lists_with(deployment, radius, NeighborStrategy::Grid)
+    let r2 = radius * radius;
+    let grid = SpatialGrid::new(deployment, radius);
+    deployment
+        .iter()
+        .map(|(a, pa)| {
+            let mut list = Vec::new();
+            grid.for_each_candidate(pa, |b| {
+                if b != a.0 && pa.distance_sq_to(deployment.position(NodeId(b))) <= r2 {
+                    list.push(NodeId(b));
+                }
+            });
+            // Stencil cells are visited row-major, not in id order.
+            list.sort_unstable();
+            list
+        })
+        .collect()
 }
 
-/// Builds per-node neighbor lists with an explicit strategy. Both
-/// strategies produce identical output: for every node, the ids of all
-/// *other* nodes at distance `<= radius`, ascending by [`NodeId`].
+/// The O(n²) oracle for [`neighbor_lists`]: compares all pairs and must
+/// produce an identical table.
 #[must_use]
-pub fn neighbor_lists_with(
-    deployment: &Deployment,
-    radius: f64,
-    strategy: NeighborStrategy,
-) -> Vec<Vec<NodeId>> {
+pub fn brute_force_neighbor_lists(deployment: &Deployment, radius: f64) -> Vec<Vec<NodeId>> {
     let r2 = radius * radius;
-    let n = deployment.len();
-    let mut neighbors: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-    match strategy {
-        NeighborStrategy::Grid => {
-            let grid = SpatialGrid::new(deployment, radius);
-            for (a, pa) in deployment.iter() {
-                let list = &mut neighbors[a.index()];
-                grid.for_each_candidate(pa, |b| {
-                    if b != a.0 && pa.distance_sq_to(deployment.position(NodeId(b))) <= r2 {
-                        list.push(NodeId(b));
-                    }
-                });
-                // Stencil cells are visited row-major, not in id order.
-                list.sort_unstable();
-            }
-        }
-        NeighborStrategy::BruteForce => {
-            for (a, pa) in deployment.iter() {
-                for (b, pb) in deployment.iter() {
-                    if a != b && pa.distance_sq_to(pb) <= r2 {
-                        neighbors[a.index()].push(b);
-                    }
-                }
-            }
-        }
-    }
-    neighbors
+    deployment
+        .iter()
+        .map(|(a, pa)| {
+            deployment
+                .iter()
+                .filter(|&(b, pb)| a != b && pa.distance_sq_to(pb) <= r2)
+                .map(|(b, _)| b)
+                .collect()
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -276,10 +255,7 @@ mod tests {
     #[test]
     fn grid_matches_brute_force_on_the_testbed_grid() {
         let d = Deployment::grid(10, 2, 1.0);
-        assert_eq!(
-            neighbor_lists_with(&d, 6.0, NeighborStrategy::Grid),
-            neighbor_lists_with(&d, 6.0, NeighborStrategy::BruteForce),
-        );
+        assert_eq!(neighbor_lists(&d, 6.0), brute_force_neighbor_lists(&d, 6.0));
     }
 
     #[test]
@@ -323,10 +299,7 @@ mod tests {
         let d = Deployment::from_positions(positions);
         let grid = SpatialGrid::new(&d, 0.5);
         assert!(grid.cell_count() <= 64, "cells = {}", grid.cell_count());
-        assert_eq!(
-            neighbor_lists_with(&d, 0.5, NeighborStrategy::Grid),
-            neighbor_lists_with(&d, 0.5, NeighborStrategy::BruteForce),
-        );
+        assert_eq!(neighbor_lists(&d, 0.5), brute_force_neighbor_lists(&d, 0.5));
     }
 
     #[test]
@@ -394,7 +367,7 @@ mod tests {
         for shards in [1usize, 2, 4, 7] {
             let owners = shard_assignment(&d, radius, shards);
             let ranges = shard_interest_ranges(&d, radius, shards);
-            let lists = neighbor_lists_with(&d, radius, NeighborStrategy::BruteForce);
+            let lists = brute_force_neighbor_lists(&d, radius);
             for (a, list) in lists.iter().enumerate() {
                 let (lo, hi) = ranges[a];
                 assert!(lo <= hi && hi < shards);

@@ -46,7 +46,7 @@ pub mod target;
 pub mod prelude {
     pub use crate::field::{Deployment, NodeId};
     pub use crate::geometry::{Aabb, Point, Vector};
-    pub use crate::grid::{neighbor_lists, NeighborStrategy, SpatialGrid};
+    pub use crate::grid::{neighbor_lists, SpatialGrid};
     pub use crate::scenario::{
         FireScenario, MultiTargetScenario, ScaleScenario, Scenario, TankScenario,
     };

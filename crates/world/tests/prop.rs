@@ -5,7 +5,7 @@ use envirotrack_sim::time::Timestamp;
 use envirotrack_world::field::Deployment;
 use envirotrack_world::geometry::{Aabb, Point};
 use envirotrack_world::grid::{
-    neighbor_lists_with, shard_assignment, shard_interest_ranges, NeighborStrategy,
+    brute_force_neighbor_lists, neighbor_lists, shard_assignment, shard_interest_ranges,
 };
 use envirotrack_world::target::{Falloff, Trajectory};
 use testkit::prelude::*;
@@ -152,8 +152,8 @@ prop_test! {
     ) {
         let area = Aabb::new(Point::new(-w / 2.0, -h / 2.0), Point::new(w / 2.0, h / 2.0));
         let d = Deployment::random_uniform(n, area, &mut SimRng::seed_from(seed));
-        let grid = neighbor_lists_with(&d, radius, NeighborStrategy::Grid);
-        let brute = neighbor_lists_with(&d, radius, NeighborStrategy::BruteForce);
+        let grid = neighbor_lists(&d, radius);
+        let brute = brute_force_neighbor_lists(&d, radius);
         for (id, _) in d.iter() {
             prop_assert_eq!(
                 &grid[id.index()], &brute[id.index()],
@@ -184,8 +184,8 @@ prop_test! {
             }
         }
         let d = Deployment::from_positions(positions);
-        let grid = neighbor_lists_with(&d, radius, NeighborStrategy::Grid);
-        let brute = neighbor_lists_with(&d, radius, NeighborStrategy::BruteForce);
+        let grid = neighbor_lists(&d, radius);
+        let brute = brute_force_neighbor_lists(&d, radius);
         prop_assert_eq!(grid, brute);
     }
 

@@ -6,43 +6,14 @@
 //!
 //! Run with: `cargo run --example telemetry_summary [seed]`
 
-use std::sync::Arc;
-
 use envirotrack::chaos::harness;
 use envirotrack::chaos::monitor::MonitorConfig;
 use envirotrack::chaos::plan::{FaultEvent, FaultPlan};
-use envirotrack::core::aggregate::{AggValue, AggregateFn, AggregateInput};
 use envirotrack::core::prelude::*;
 use envirotrack::core::report::{telemetry_summary, telemetry_to_jsonl};
 use envirotrack::net::medium::GilbertElliott;
-use envirotrack::sim::time::{SimDuration, Timestamp};
+use envirotrack::sim::time::Timestamp;
 use envirotrack::world::scenario::TankScenario;
-use envirotrack::world::target::Channel;
-
-fn tracker_program() -> Arc<Program> {
-    Arc::new(
-        Program::builder()
-            .context("tracker", |c| {
-                c.activation(SensePredicate::threshold(Channel::Magnetic, 0.5))
-                    .aggregate(
-                        "location",
-                        AggregateFn::CenterOfGravity,
-                        AggregateInput::Position,
-                        SimDuration::from_secs(1),
-                        2,
-                    )
-                    .object("reporter", |o| {
-                        o.on_timer("report", SimDuration::from_secs(5), |ctx| {
-                            if let Ok(AggValue::Point(p)) = ctx.read("location") {
-                                ctx.send_to_base(payload::position(p));
-                            }
-                        })
-                    })
-            })
-            .build()
-            .unwrap(),
-    )
-}
 
 fn main() {
     let seed: u64 = std::env::args()

@@ -10,7 +10,7 @@ cd "$(dirname "$0")/.."
 
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
-cargo clippy -q --workspace --offline -- -D warnings
+cargo clippy -q --workspace --all-targets --offline -- -D warnings
 
 # Chaos smoke: randomized fault plans (crashes, reboots, partitions, burst
 # loss, clock skew) must leave every invariant intact. CHAOS_CASES scales

@@ -2,43 +2,14 @@
 //! that "applications must not depend on the correctness or availability
 //! of any particular node" — so break nodes and the channel, on purpose.
 
-use std::sync::Arc;
-
-use envirotrack::core::aggregate::{AggValue, AggregateFn, AggregateInput};
 use envirotrack::core::context::ContextTypeId;
 use envirotrack::core::network::{NetworkConfig, SensorNetwork};
 use envirotrack::core::prelude::*;
 use envirotrack::sim::engine::Engine;
 use envirotrack::sim::time::{SimDuration, Timestamp};
 use envirotrack::world::scenario::TankScenario;
-use envirotrack::world::target::Channel;
 
 const TRACKER: ContextTypeId = ContextTypeId(0);
-
-fn tracker_program() -> Arc<Program> {
-    Arc::new(
-        Program::builder()
-            .context("tracker", |c| {
-                c.activation(SensePredicate::threshold(Channel::Magnetic, 0.5))
-                    .aggregate(
-                        "location",
-                        AggregateFn::CenterOfGravity,
-                        AggregateInput::Position,
-                        SimDuration::from_secs(1),
-                        2,
-                    )
-                    .object("reporter", |o| {
-                        o.on_timer("report", SimDuration::from_secs(5), |ctx| {
-                            if let Ok(AggValue::Point(p)) = ctx.read("location") {
-                                ctx.send_to_base(payload::position(p));
-                            }
-                        })
-                    })
-            })
-            .build()
-            .unwrap(),
-    )
-}
 
 fn build(speed: f64, loss: f64, seed: u64) -> Engine<SensorNetwork> {
     let scenario = TankScenario::default()

@@ -4,41 +4,11 @@
 //! management → aggregation → object code → routing → base station — on
 //! the paper's tank scenario (§6.1).
 
-use std::sync::Arc;
-
-use envirotrack::core::aggregate::{AggValue, AggregateFn, AggregateInput};
 use envirotrack::core::context::ContextTypeId;
 use envirotrack::core::events::SystemEvent;
 use envirotrack::core::prelude::*;
-use envirotrack::sim::time::{SimDuration, Timestamp};
+use envirotrack::sim::time::Timestamp;
 use envirotrack::world::scenario::{MultiTargetScenario, TankScenario};
-use envirotrack::world::target::Channel;
-
-/// The paper's Figure-2 tracker program.
-fn tracker_program() -> Arc<Program> {
-    Arc::new(
-        Program::builder()
-            .context("tracker", |c| {
-                c.activation(SensePredicate::threshold(Channel::Magnetic, 0.5))
-                    .aggregate(
-                        "location",
-                        AggregateFn::CenterOfGravity,
-                        AggregateInput::Position,
-                        SimDuration::from_secs(1),
-                        2,
-                    )
-                    .object("reporter", |o| {
-                        o.on_timer("report", SimDuration::from_secs(5), |ctx| {
-                            if let Ok(AggValue::Point(p)) = ctx.read("location") {
-                                ctx.send_to_base(payload::position(p));
-                            }
-                        })
-                    })
-            })
-            .build()
-            .expect("valid program"),
-    )
-}
 
 const TRACKER: ContextTypeId = ContextTypeId(0);
 
