@@ -98,10 +98,9 @@ fn main() -> ExitCode {
     }
     let report = run_sweep(&cells, args.workers);
     eprintln!(
-        "sweep: {} cells, {} workers, {} steals, run {:.3}s ({:.1} runs/s), merge {:.6}s",
+        "sweep: {} cells, {} workers, run {:.3}s ({:.1} runs/s), merge {:.6}s",
         report.cells_run,
         args.workers,
-        report.steals,
         report.run_wall.as_secs_f64(),
         report.runs_per_sec(),
         report.merge_wall.as_secs_f64(),
@@ -158,7 +157,6 @@ fn bench(args: &Args, cells: &[envirotrack_bench::sweep::SweepCell]) -> ExitCode
                 .field_f64("merge_wall_s", report.merge_wall.as_secs_f64())
                 .field_f64("runs_per_sec", report.runs_per_sec())
                 .field_f64("speedup_vs_1", speedup)
-                .field_u64("steals", report.steals)
                 .finish(),
         );
     }

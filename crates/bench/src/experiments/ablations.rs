@@ -13,7 +13,7 @@ use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_world::scenario::TankScenario;
 
 use crate::harness::{run_tracking, tracker_program, TrackingRun, TRACKER};
-use crate::sweep::parallel_map;
+use crate::sweep::{host_workers, parallel_map};
 
 /// One ablation row: a named variant and its metrics.
 #[derive(Debug, Clone)]
@@ -113,7 +113,9 @@ pub fn run(seeds: u64) -> Ablations {
             }),
         ),
     ];
-    let mut rows = parallel_map(variants, |(name, make)| measure(name, seeds, make));
+    let mut rows = parallel_map(host_workers(), &variants, |(name, make)| {
+        measure(name, seeds, make)
+    });
     rows.push(wait_timer_row(seeds));
     rows.push(link_reliability_row(seeds));
     Ablations { rows }

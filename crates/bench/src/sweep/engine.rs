@@ -1,21 +1,16 @@
-//! The sweep engine: a work-stealing pool of cells with a deterministic
-//! ordered reduction.
+//! The sweep engine: independent cells on the [`super::parallel_map`]
+//! pool, with a deterministic ordered reduction.
 //!
-//! Cells are dealt round-robin into per-worker queues; a worker drains its
-//! own queue from the front and, once empty, steals from the back of the
-//! longest remaining queue. Each worker streams its finished JSON lines
-//! into a private shard — no cross-worker ordering exists anywhere in the
-//! run phase. The reducer then merges shards by *cell id*, never arrival
-//! order, which together with per-cell RNG isolation (see
-//! [`super::cells`]) makes the merged output byte-identical at any worker
-//! count.
+//! Workers claim cells from a shared atomic cursor, so no cell waits
+//! behind another worker's backlog. The reducer merges finished lines by
+//! *cell id*, never completion order, which together with per-cell RNG
+//! isolation (see [`super::cells`]) makes the merged output byte-identical
+//! at any worker count.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use super::cells::SweepCell;
+use super::parallel_map;
 
 /// The merged result of one sweep plus its execution profile.
 #[derive(Debug, Clone)]
@@ -24,13 +19,10 @@ pub struct SweepReport {
     pub merged_jsonl: String,
     /// Cells executed.
     pub cells_run: usize,
-    /// Cells each worker ended up executing (length = worker count).
-    pub per_worker_cells: Vec<usize>,
-    /// Cross-queue steals performed.
-    pub steals: u64,
     /// Wall-clock spent running cells (the parallel phase).
     pub run_wall: Duration,
-    /// Wall-clock spent merging shards (the reduction phase).
+    /// Wall-clock spent joining lines in cell-id order (the reduction
+    /// phase).
     pub merge_wall: Duration,
 }
 
@@ -47,12 +39,7 @@ impl SweepReport {
     }
 }
 
-/// One worker's queue: cells it owns, stealable from the back.
-struct WorkerQueue {
-    cells: Mutex<VecDeque<usize>>,
-}
-
-/// Runs every cell across `workers` threads and reduces the shards.
+/// Runs every cell across `workers` threads and reduces the lines.
 ///
 /// # Panics
 ///
@@ -60,84 +47,23 @@ struct WorkerQueue {
 /// key must identify a cell uniquely).
 #[must_use]
 pub fn run_sweep(cells: &[SweepCell], workers: usize) -> SweepReport {
-    assert!(workers > 0, "a sweep needs at least one worker");
-    {
-        let mut ids: Vec<&str> = cells.iter().map(|c| c.id.as_str()).collect();
-        ids.sort_unstable();
-        assert!(
-            ids.windows(2).all(|w| w[0] != w[1]),
-            "cell ids must be unique"
-        );
-    }
-
-    // Deal the cells round-robin so every queue starts balanced.
-    let queues: Vec<WorkerQueue> = (0..workers)
-        .map(|w| WorkerQueue {
-            cells: Mutex::new(
-                (w..cells.len())
-                    .step_by(workers)
-                    .collect::<VecDeque<usize>>(),
-            ),
-        })
-        .collect();
-    let steals = AtomicU64::new(0);
+    // Reduce in cell-id order — never completion order — so the merged
+    // bytes are independent of scheduling.
+    let mut order: Vec<usize> = (0..cells.len()).collect();
+    order.sort_by(|&a, &b| cells[a].id.cmp(&cells[b].id));
+    assert!(
+        order.windows(2).all(|w| cells[w[0]].id != cells[w[1]].id),
+        "cell ids must be unique"
+    );
 
     let run_start = Instant::now();
-    let mut shards: Vec<Vec<(usize, String)>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let queues = &queues;
-                let steals = &steals;
-                s.spawn(move || {
-                    let mut shard: Vec<(usize, String)> = Vec::new();
-                    loop {
-                        // Own work first, front-to-back.
-                        let mine = queues[w].cells.lock().expect("queue lock").pop_front();
-                        let idx = match mine {
-                            Some(i) => i,
-                            None => {
-                                // Steal from the back of the fullest queue.
-                                let victim = match steal_target(queues, w) {
-                                    Some(v) => v,
-                                    None => break,
-                                };
-                                match queues[victim]
-                                    .cells
-                                    .lock()
-                                    .expect("queue lock")
-                                    .pop_back()
-                                {
-                                    Some(i) => {
-                                        steals.fetch_add(1, Ordering::Relaxed);
-                                        i
-                                    }
-                                    // Raced with the victim; rescan.
-                                    None => continue,
-                                }
-                            }
-                        };
-                        shard.push((idx, cells[idx].run()));
-                    }
-                    shard
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sweep worker panicked"))
-            .collect()
-    });
+    let lines = parallel_map(workers, cells, SweepCell::run);
     let run_wall = run_start.elapsed();
 
     let merge_start = Instant::now();
-    let per_worker_cells: Vec<usize> = shards.iter().map(Vec::len).collect();
-    let mut lines: Vec<(usize, String)> = shards.drain(..).flatten().collect();
-    // Reduce in cell-id order — never arrival order — so the merged bytes
-    // are independent of scheduling.
-    lines.sort_by(|(a, _), (b, _)| cells[*a].id.cmp(&cells[*b].id));
     let mut merged_jsonl = String::new();
-    for (_, line) in &lines {
-        merged_jsonl.push_str(line);
+    for i in order {
+        merged_jsonl.push_str(&lines[i]);
         merged_jsonl.push('\n');
     }
     let merge_wall = merge_start.elapsed();
@@ -145,27 +71,9 @@ pub fn run_sweep(cells: &[SweepCell], workers: usize) -> SweepReport {
     SweepReport {
         merged_jsonl,
         cells_run: lines.len(),
-        per_worker_cells,
-        steals: steals.load(Ordering::Relaxed),
         run_wall,
         merge_wall,
     }
-}
-
-/// The index of the non-empty queue (other than `me`) with the most work
-/// left, or `None` when everything is drained.
-fn steal_target(queues: &[WorkerQueue], me: usize) -> Option<usize> {
-    let mut best: Option<(usize, usize)> = None;
-    for (i, q) in queues.iter().enumerate() {
-        if i == me {
-            continue;
-        }
-        let len = q.cells.lock().expect("queue lock").len();
-        if len > 0 && best.is_none_or(|(_, b)| len > b) {
-            best = Some((i, len));
-        }
-    }
-    best.map(|(i, _)| i)
 }
 
 #[cfg(test)]
@@ -179,12 +87,14 @@ mod tests {
         for workers in [1, 3, 8] {
             let report = run_sweep(&cells, workers);
             assert_eq!(report.cells_run, cells.len());
-            assert_eq!(report.per_worker_cells.len(), workers);
-            assert_eq!(
-                report.per_worker_cells.iter().sum::<usize>(),
-                cells.len()
-            );
-            assert_eq!(report.merged_jsonl.lines().count(), cells.len());
+            let mut ids: Vec<&str> = cells.iter().map(|c| c.id.as_str()).collect();
+            ids.sort_unstable();
+            let merged: Vec<&str> = report
+                .merged_jsonl
+                .lines()
+                .map(|l| l.split('"').nth(3).expect("cell id field"))
+                .collect();
+            assert_eq!(merged, ids, "each cell's line appears exactly once");
         }
     }
 

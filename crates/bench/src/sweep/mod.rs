@@ -1,10 +1,10 @@
 //! Parameter sweeps: parallel execution, the scenario sweep engine, and
 //! max-trackable-speed search.
 //!
-//! [`parallel_map`] is the light primitive the figure experiments use;
-//! [`engine`] is the full sweep engine — a work-stealing pool of
-//! `(scenario, seed)` [`cells`] whose merged JSON-lines output is
-//! byte-identical at any worker count (see DESIGN.md §10).
+//! [`parallel_map`] is the one worker pool: the figure experiments call it
+//! directly, and [`engine`] runs `(scenario, seed)` [`cells`] on it and
+//! merges their JSON lines by cell id, byte-identically at any worker
+//! count (see DESIGN.md §10).
 
 pub mod cells;
 pub mod engine;
@@ -14,25 +14,35 @@ pub use engine::{run_sweep, SweepReport};
 
 use crate::harness::{run_tracking, TrackingRun};
 
-/// Runs `f` over `inputs` in parallel (a worker pool bounded by available
-/// parallelism, fed by an atomic cursor), preserving input order in the
-/// output. Pure `std`: scoped threads + an mpsc channel for results.
-pub fn parallel_map<I, O, F>(inputs: Vec<I>, f: F) -> Vec<O>
+/// The host's available parallelism (4 when it cannot be read): the
+/// worker count the figure experiments pass to [`parallel_map`].
+#[must_use]
+pub fn host_workers() -> usize {
+    std::thread::available_parallelism().map_or(4, |w| w.get())
+}
+
+/// Runs `f` over `inputs` on at most `workers` scoped threads, preserving
+/// input order in the output. Workers claim the next input from a shared
+/// atomic cursor, so a slow input never holds up a queue of others behind
+/// it. Pure `std`: scoped threads + an mpsc channel for results.
+///
+/// # Panics
+///
+/// Panics when `workers == 0`.
+pub fn parallel_map<I, O, F>(workers: usize, inputs: &[I], f: F) -> Vec<O>
 where
-    I: Send + Sync,
+    I: Sync,
     O: Send,
     F: Fn(&I) -> O + Sync,
 {
+    assert!(workers > 0, "parallel_map needs at least one worker");
     let n = inputs.len();
     if n == 0 {
         return Vec::new();
     }
-    let workers = std::thread::available_parallelism()
-        .map_or(4, |w| w.get())
-        .min(n);
+    let workers = workers.min(n);
     let next = std::sync::atomic::AtomicUsize::new(0);
     let (tx, rx) = std::sync::mpsc::channel::<(usize, O)>();
-    let inputs_ref = &inputs;
     let f_ref = &f;
     let next_ref = &next;
     std::thread::scope(|s| {
@@ -43,7 +53,7 @@ where
                 if i >= n {
                     break;
                 }
-                let out = f_ref(&inputs_ref[i]);
+                let out = f_ref(&inputs[i]);
                 tx.send((i, out)).expect("result channel open");
             });
         }
@@ -114,13 +124,16 @@ mod tests {
 
     #[test]
     fn parallel_map_preserves_order() {
-        let out = parallel_map((0..50).collect(), |x: &i32| x * 2);
-        assert_eq!(out, (0..50).map(|x| x * 2).collect::<Vec<_>>());
+        let inputs: Vec<i32> = (0..50).collect();
+        for workers in [1, 3, 64] {
+            let out = parallel_map(workers, &inputs, |x: &i32| x * 2);
+            assert_eq!(out, (0..50).map(|x| x * 2).collect::<Vec<_>>());
+        }
     }
 
     #[test]
     fn parallel_map_handles_empty_input() {
-        let out: Vec<i32> = parallel_map(Vec::<i32>::new(), |x| *x);
+        let out: Vec<i32> = parallel_map(2, &[] as &[i32], |x| *x);
         assert!(out.is_empty());
     }
 

@@ -5,7 +5,9 @@
 //! tick, returning the shared [`InvariantMonitor`]. The harness owns no
 //! event loop of its own: everything rides the simulation kernel, so fault
 //! timing composes deterministically with protocol traffic under a single
-//! seed.
+//! seed. The world applies each fault itself
+//! ([`SensorNetwork::apply_fault`], the applier sharded runs use too); the
+//! harness only records it on the monitor first.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -14,16 +16,12 @@ use envirotrack_core::network::SensorNetwork;
 use envirotrack_core::report::RunRecord;
 use envirotrack_sim::engine::{Engine, Kernel};
 use envirotrack_sim::time::Timestamp;
-use envirotrack_world::field::NodeId;
 
 use crate::monitor::{InvariantMonitor, MonitorConfig};
 use crate::plan::{FaultEvent, FaultPlan};
 
 /// Shared monitor handle: kernel events and the caller both sample it.
 pub type MonitorHandle = Rc<RefCell<InvariantMonitor>>;
-
-/// Battery budgets activated so far: `(node, millijoules)`.
-type Budgets = Rc<RefCell<Vec<(NodeId, f64)>>>;
 
 /// Schedules every event of `plan` on the engine's kernel, enables the
 /// medium's delivery audit log, and starts the invariant tick. Returns the
@@ -43,22 +41,27 @@ pub fn install(
         .expect("fault plan must match the deployment");
     let monitor: MonitorHandle =
         Rc::new(RefCell::new(InvariantMonitor::new(seed, engine.world(), cfg)));
-    let budgets: Budgets = Rc::new(RefCell::new(Vec::new()));
     engine.world_mut().set_delivery_log(true);
 
     let k = engine.kernel_mut();
     for (at, event) in plan.events().iter().cloned() {
         let mon = Rc::clone(&monitor);
-        let bud = Rc::clone(&budgets);
         k.schedule_at(at.max(k.now()), move |w: &mut SensorNetwork, k| {
-            apply_fault(w, k, &mon, &bud, event);
+            let mut mon = mon.borrow_mut();
+            mon.note_fault(k.now(), event.describe());
+            if matches!(event, FaultEvent::Partition(_) | FaultEvent::Heal) {
+                // Judge the delivery log by the outgoing mask before
+                // switching.
+                mon.check_deliveries(w, k.now());
+            }
+            drop(mon);
+            w.apply_fault(k, &event);
         });
     }
     let mon = Rc::clone(&monitor);
-    let bud = Rc::clone(&budgets);
     let first = k.now() + cfg.tick;
     k.schedule_at(first, move |w: &mut SensorNetwork, k| {
-        monitor_tick(w, k, mon, bud, cfg);
+        monitor_tick(w, k, mon, cfg);
     });
     monitor
 }
@@ -79,69 +82,17 @@ pub fn summarize(
     )
 }
 
-fn apply_fault(
-    w: &mut SensorNetwork,
-    k: &mut Kernel<SensorNetwork>,
-    monitor: &MonitorHandle,
-    budgets: &Budgets,
-    event: FaultEvent,
-) {
-    monitor
-        .borrow_mut()
-        .note_fault(k.now(), event.describe());
-    match event {
-        FaultEvent::Crash(node) => w.kill_node(node),
-        FaultEvent::Reboot(node) => {
-            w.revive_node(node);
-            w.sense_tick(k, node);
-        }
-        FaultEvent::BatteryBudget { node, millijoules } => {
-            budgets.borrow_mut().push((node, millijoules));
-        }
-        FaultEvent::Partition(groups) => {
-            // Judge the log by the outgoing mask before switching.
-            monitor.borrow_mut().check_deliveries(w, k.now());
-            w.set_partition(Some(groups));
-        }
-        FaultEvent::Heal => {
-            monitor.borrow_mut().check_deliveries(w, k.now());
-            w.set_partition(None);
-            // Replicated directories diverge during the split; one
-            // anti-entropy round per live replica starts repair now
-            // instead of waiting out the gossip period.
-            w.kick_directory_gossip(k);
-        }
-        FaultEvent::BurstLossOn(model) => w.set_burst_loss(Some(model)),
-        FaultEvent::BurstLossOff => w.set_burst_loss(None),
-        FaultEvent::LinkFaultsOn(faults) => w.set_link_faults(Some(faults)),
-        FaultEvent::LinkFaultsOff => w.set_link_faults(None),
-        FaultEvent::ClockRate { node, rate } => w.set_clock_rate(node, rate, k.now()),
-    }
-}
-
 fn monitor_tick(
     w: &mut SensorNetwork,
     k: &mut Kernel<SensorNetwork>,
     monitor: MonitorHandle,
-    budgets: Budgets,
     cfg: MonitorConfig,
 ) {
     // Reschedule first so a panicking check still leaves a live loop when
     // tests catch and continue.
     let mon = Rc::clone(&monitor);
-    let bud = Rc::clone(&budgets);
     k.schedule_at(k.now() + cfg.tick, move |w: &mut SensorNetwork, k| {
-        monitor_tick(w, k, mon, bud, cfg);
+        monitor_tick(w, k, mon, cfg);
     });
-    // Battery death: a budgeted node dies for good once its cumulative
-    // protocol energy crosses the line.
-    for (node, limit) in budgets.borrow().iter() {
-        if w.is_alive(*node) && w.energy_at(*node).total_millijoules() > *limit {
-            monitor
-                .borrow_mut()
-                .note_fault(k.now(), format!("battery died on node {}", node.0));
-            w.kill_node(*node);
-        }
-    }
     monitor.borrow_mut().check(w, k.now());
 }

@@ -2,11 +2,14 @@
 //! invariant monitors, and run summaries.
 //!
 //! A [`plan::FaultPlan`] is a declarative, seed-deterministic schedule of
-//! fault events — node crashes and reboots, battery death, region
-//! partitions, Gilbert–Elliott burst loss, link-level frame corruption
-//! and reordering, bounded clock skew — that
-//! [`harness::install`] turns into ordinary kernel events on a
-//! [`envirotrack_core::network::SensorNetwork`] engine. A
+//! fault events — node crashes and reboots, region partitions,
+//! Gilbert–Elliott burst loss, link-level frame corruption and
+//! reordering, bounded clock skew — that [`harness::install`] turns into
+//! ordinary kernel events on a [`envirotrack_core::network::SensorNetwork`]
+//! engine. The event type is core's [`envirotrack_core::fault::FaultEvent`]
+//! (re-exported as [`plan::FaultEvent`]), the same vocabulary sharded runs
+//! take, and the world applies it itself; the harness adds only the
+//! monitor's bookkeeping. A
 //! [`monitor::InvariantMonitor`] samples the world on a fixed tick and
 //! records [`monitor::Violation`]s of the protocol's safety claims; every
 //! violation carries the seed and the fault trace that led to it, so any

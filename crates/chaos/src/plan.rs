@@ -6,86 +6,11 @@
 //! — [`crate::harness::install`] schedules them — so the same plan value
 //! replays identically on any engine with the same seed.
 
+pub use envirotrack_core::fault::FaultEvent;
 use envirotrack_net::medium::{GilbertElliott, LinkFaults};
 use envirotrack_sim::rng::SimRng;
 use envirotrack_sim::time::{SimDuration, Timestamp};
 use envirotrack_world::field::NodeId;
-
-/// One scripted fault.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FaultEvent {
-    /// The node dies: no sensing, processing, or transmission.
-    Crash(NodeId),
-    /// The node reboots with amnesia (fresh protocol state) and restarts
-    /// its sensing loop.
-    Reboot(NodeId),
-    /// From this point on the node dies permanently once its cumulative
-    /// protocol energy exceeds the budget (checked on monitor ticks).
-    BatteryBudget {
-        /// The constrained node.
-        node: NodeId,
-        /// Remaining energy budget in millijoules.
-        millijoules: f64,
-    },
-    /// Install a partition mask: nodes with different group values cannot
-    /// exchange frames. The vector must name a group per node.
-    Partition(Vec<u8>),
-    /// Remove any active partition mask.
-    Heal,
-    /// Install a Gilbert–Elliott burst-loss model on the channel.
-    BurstLossOn(GilbertElliott),
-    /// Remove the burst-loss model (base fading remains).
-    BurstLossOff,
-    /// Install a link-level fault injector: bit-flip corruption,
-    /// truncation, duplication, and bounded reordering of frames in
-    /// flight.
-    LinkFaultsOn(LinkFaults),
-    /// Remove the link-level fault injector.
-    LinkFaultsOff,
-    /// Set a node's clock rate (1.0 = ideal). Must stay within the
-    /// bounded-skew range `[0.5, 2.0]`.
-    ClockRate {
-        /// The skewed node.
-        node: NodeId,
-        /// Local seconds per global second.
-        rate: f64,
-    },
-}
-
-impl FaultEvent {
-    /// A compact human-readable form, used in violation traces.
-    #[must_use]
-    pub fn describe(&self) -> String {
-        match self {
-            FaultEvent::Crash(n) => format!("crash node {}", n.0),
-            FaultEvent::Reboot(n) => format!("reboot node {}", n.0),
-            FaultEvent::BatteryBudget { node, millijoules } => {
-                format!("battery budget node {} = {millijoules:.2} mJ", node.0)
-            }
-            FaultEvent::Partition(groups) => {
-                let distinct = {
-                    let mut g: Vec<u8> = groups.clone();
-                    g.sort_unstable();
-                    g.dedup();
-                    g.len()
-                };
-                format!("partition into {distinct} regions")
-            }
-            FaultEvent::Heal => "heal partition".to_string(),
-            FaultEvent::BurstLossOn(m) => {
-                format!("burst loss on (bad={:.2})", m.loss_bad)
-            }
-            FaultEvent::BurstLossOff => "burst loss off".to_string(),
-            FaultEvent::LinkFaultsOn(f) => {
-                format!("link faults on (flip/byte={:.0e})", f.flip_per_byte)
-            }
-            FaultEvent::LinkFaultsOff => "link faults off".to_string(),
-            FaultEvent::ClockRate { node, rate } => {
-                format!("clock rate node {} = {rate:.3}", node.0)
-            }
-        }
-    }
-}
 
 /// A seed-deterministic schedule of fault events.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -132,21 +57,13 @@ impl FaultPlan {
     ///
     /// Returns a message naming the first invalid event: a node id out of
     /// range, a partition mask of the wrong length, a clock rate outside
-    /// `[0.5, 2.0]`, or a non-positive battery budget.
+    /// `[0.5, 2.0]`, or a link-fault probability outside `[0, 1]`.
     pub fn validate(&self, node_count: usize) -> Result<(), String> {
         for (t, ev) in &self.events {
             let bad_node = |n: NodeId| n.index() >= node_count;
             match ev {
                 FaultEvent::Crash(n) | FaultEvent::Reboot(n) if bad_node(*n) => {
                     return Err(format!("{}: node {} out of range", t, n.0));
-                }
-                FaultEvent::BatteryBudget { node, millijoules } => {
-                    if bad_node(*node) {
-                        return Err(format!("{}: node {} out of range", t, node.0));
-                    }
-                    if *millijoules <= 0.0 {
-                        return Err(format!("{t}: battery budget must be positive"));
-                    }
                 }
                 FaultEvent::Partition(groups) if groups.len() != node_count => {
                     return Err(format!(
@@ -281,15 +198,6 @@ mod tests {
             },
         );
         assert!(bad_rate.validate(9).unwrap_err().contains("clock rate"));
-
-        let bad_budget = FaultPlan::new().at(
-            Timestamp::from_secs(1),
-            FaultEvent::BatteryBudget {
-                node: NodeId(0),
-                millijoules: 0.0,
-            },
-        );
-        assert!(bad_budget.validate(9).unwrap_err().contains("battery"));
     }
 
     #[test]

@@ -27,6 +27,7 @@
 //! | [`wire`] | §5 | the binary message codec |
 //! | [`network`] | §5 | the assembled simulation world ([`network::SensorNetwork`]) |
 //! | [`shard`] | — | lock-step sharded execution across threads |
+//! | [`fault`] | — | the fault vocabulary shared by chaos plans and sharded runs |
 //! | [`events`] | — | protocol event log for audits |
 //! | [`report`] | §4 | the base-station ("pursuer") report log |
 //! | [`config`] | §6 | tuning knobs (heartbeat period, timer factors, `h`, …) |
@@ -42,6 +43,7 @@ pub mod config;
 pub mod context;
 pub mod directory;
 pub mod events;
+pub mod fault;
 pub mod group;
 pub mod network;
 pub mod object;

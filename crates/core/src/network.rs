@@ -51,8 +51,8 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use envirotrack_net::medium::{
-    DeliveryOutcome, DeliveryReport, GilbertElliott, LinkFaults, Medium, NetStats, RadioConfig,
-    ResolvedTx, TxKey,
+    DeliveryOutcome, DeliveryReport, GilbertElliott, Medium, NetStats, RadioConfig, ResolvedTx,
+    TxKey,
 };
 use envirotrack_net::packet::{Frame, FrameKind, LinkDest};
 use envirotrack_net::routing::GeoRouter;
@@ -72,10 +72,11 @@ use crate::config::MiddlewareConfig;
 use crate::context::{ContextLabel, ContextTypeId, LabelIntern};
 use crate::directory::{hash_point, replica_set, DirectoryStore};
 use crate::events::{EventLog, HandoverReason, SystemEvent};
+use crate::fault::FaultEvent;
 use crate::group::{AggregateHealth, GroupAction, GroupCtx, GroupMachine, GroupTimer, RoleKind};
 use crate::object::IncomingMessage;
 use crate::report::{BaseStationLog, ReportEntry, RunRecord};
-use crate::shard::{OutIntent, ShardFault, ShardState};
+use crate::shard::{OutIntent, ShardState};
 use crate::transport::{LeaderLoc, MtpState, Outstanding, Port, RetxPolicy};
 use crate::wire::{
     BaseReport, DirQuery, DirRegister, DirResponse, DirSync, GeoForward, Heartbeat, Message,
@@ -403,12 +404,10 @@ impl SensorNetwork {
             world.config.radio.comm_radius,
             shards,
         );
-        let latency = world.config.radio.epoch_latency();
         world
             .medium
             .set_owned(owners.iter().map(|&s| s == shard_idx).collect());
-        let nodes = world.nodes.len();
-        world.shard = Some(ShardState::new(shard_idx, shards, nodes, latency));
+        world.shard = Some(ShardState::new(world.nodes.len()));
         world.into_engine()
     }
 
@@ -670,12 +669,6 @@ impl SensorNetwork {
     // Chaos hooks (fault plans and invariant monitors)
     // ------------------------------------------------------------------
 
-    /// Installs or clears a radio partition mask (see
-    /// [`Medium::set_partition`]).
-    pub fn set_partition(&mut self, groups: Option<Vec<u8>>) {
-        self.medium.set_partition(groups);
-    }
-
     /// The active partition mask, if any.
     #[must_use]
     pub fn partition(&self) -> Option<&[u8]> {
@@ -686,13 +679,6 @@ impl SensorNetwork {
     /// channel.
     pub fn set_burst_loss(&mut self, model: Option<GilbertElliott>) {
         self.medium.set_burst_loss(model);
-    }
-
-    /// Installs or clears link-level fault injection — bit corruption,
-    /// truncation, duplication, and bounded reordering — on the medium
-    /// (see [`LinkFaults`]).
-    pub fn set_link_faults(&mut self, faults: Option<LinkFaults>) {
-        self.medium.set_link_faults(faults);
     }
 
     /// Delivers a frame straight into one node's receive path, exactly as
@@ -772,47 +758,56 @@ impl SensorNetwork {
         }
     }
 
-    /// Applies one barrier-quantized fault. Channel faults install on the
-    /// orchestrator's medium (transmit side) *and* on every shard's medium
-    /// (delivery masking, burst chains — installing is draw-free); node
-    /// faults act only on the owning shard, which alone drives the node.
-    pub fn apply_shard_fault(&mut self, k: &mut Kernel<SensorNetwork>, fault: &ShardFault) {
-        match fault {
-            ShardFault::Partition(groups) => self.set_partition(Some(groups.clone())),
-            ShardFault::ClearPartition => self.set_partition(None),
-            ShardFault::BurstLossOn(model) => self.set_burst_loss(Some(*model)),
-            ShardFault::BurstLossOff => self.set_burst_loss(None),
-            ShardFault::LinkFaultsOn(faults) => self.set_link_faults(Some(*faults)),
-            ShardFault::LinkFaultsOff => self.set_link_faults(None),
-            ShardFault::Crash(node) => {
-                if self.owns(*node) {
-                    self.kill_node(*node);
-                }
+    /// Applies one scripted fault: the single applier behind chaos plans
+    /// and sharded barriers. Channel faults always install (`Heal` then
+    /// kicks one anti-entropy round); node faults apply only to owned
+    /// nodes, since only the owning shard drives a node.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a `ClockRate` lies outside `[0.5, 2.0]` — the protocol
+    /// makes no claims under unbounded drift.
+    pub fn apply_fault(&mut self, k: &mut Kernel<SensorNetwork>, fault: &FaultEvent) {
+        if fault.apply_to_channel(&mut self.medium) {
+            if matches!(fault, FaultEvent::Heal) {
+                // Replicated directories diverge during the split; one
+                // anti-entropy round per live replica starts repair now
+                // instead of waiting out the gossip period.
+                self.kick_directory_gossip(k);
             }
-            ShardFault::Revive(node) => {
-                if self.owns(*node) {
-                    self.revive_node(*node);
-                    // Restart the sensing loop at the barrier itself: the
-                    // tick draws nothing from the kernel, so reviving is as
-                    // deterministic as the crash.
-                    self.sense_tick(k, *node);
-                }
+            return;
+        }
+        match *fault {
+            FaultEvent::Crash(node) if self.owns(node) => self.kill_node(node),
+            FaultEvent::Reboot(node) if self.owns(node) => {
+                self.revive_node(node);
+                // Restart the sensing loop at the fault instant itself: the
+                // tick draws nothing from the kernel, so rebooting is as
+                // deterministic as the crash.
+                self.sense_tick(k, node);
             }
+            FaultEvent::ClockRate { node, rate } if self.owns(node) => {
+                assert!(
+                    (0.5..=2.0).contains(&rate),
+                    "clock rate {rate} outside the bounded-skew range [0.5, 2.0]"
+                );
+                self.nodes[node.index()].clock.set_rate(rate, k.now());
+            }
+            _ => {}
         }
     }
 
     /// Triggers an immediate anti-entropy push (with pull) on every live
-    /// replica of every context type. Chaos harnesses call this right
-    /// after healing a partition so divergent replicas repair in one
-    /// exchange instead of waiting out the gossip period. A no-op at
-    /// replication factor 1; works whether or not periodic gossip is on.
-    pub fn kick_directory_gossip(&mut self, k: &mut Kernel<SensorNetwork>) {
+    /// owned replica of every context type, as `schedule_gossip` arms only
+    /// owned replicas. A no-op at replication factor 1; works whether or
+    /// not periodic gossip is on.
+    fn kick_directory_gossip(&mut self, k: &mut Kernel<SensorNetwork>) {
         if self.config.middleware.directory_replicas <= 1 {
             return;
         }
         for tid in self.program.type_ids() {
             for node in self.directory_replicas_of(tid) {
-                if self.nodes[node.index()].alive {
+                if self.owns(node) && self.nodes[node.index()].alive {
                     self.send_dir_sync(k, node, tid, true);
                 }
             }
@@ -879,22 +874,6 @@ impl SensorNetwork {
             Some(first) => sets.all(|s| s == first),
             None => true,
         }
-    }
-
-    /// Sets a node's clock rate (1.0 = ideal; 1.02 = 2 % fast). The local
-    /// clock is rebased at `now` so it stays continuous. Applies to all
-    /// subsequently armed timers and sensing ticks.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `rate` is outside the bounded-skew range `[0.5, 2.0]` —
-    /// the protocol makes no claims under unbounded drift.
-    pub fn set_clock_rate(&mut self, node: NodeId, rate: f64, now: Timestamp) {
-        assert!(
-            (0.5..=2.0).contains(&rate),
-            "clock rate {rate} outside the bounded-skew range [0.5, 2.0]"
-        );
-        self.nodes[node.index()].clock.set_rate(rate, now);
     }
 
     /// A node's local clock reading at global instant `now`.

@@ -34,7 +34,7 @@
 //!   zero randomness. Each shard reports the keys its receivers heard, and
 //!   the orchestrator settles "heard by nobody" from the union.
 //!
-//! ## Interest routing ([`MediumMode::Partitioned`])
+//! ## Interest routing
 //!
 //! A transmission from node `s` can only be heard within `comm_radius` of
 //! `s`, so only shards owning a grid cell inside that footprint need to
@@ -47,10 +47,19 @@
 //! the range — is what keeps a routed subset byte-identical to the full
 //! replay: an un-routed transmission could only have produced an empty
 //! outcome set on that shard anyway, and skipping it draws nothing.
-//! [`MediumMode::Replicated`] runs the identical pipeline with every
-//! transmission routed to every shard; the two modes differ *only* in
-//! routing, which the `bench/tests/shard_determinism.rs` battery pins
-//! byte-for-byte at 1/2/4/8 shards, clean and under chaos.
+//! At one shard every range is `(0, 0)`, so the one-shard run *is* the
+//! full route-to-all replay: `bench/tests/shard_determinism.rs` pins
+//! N shards against it byte-for-byte at 2/4/8 shards, clean and under
+//! chaos, and `world/tests/prop.rs` checks range soundness directly.
+//!
+//! ## Faults
+//!
+//! Faults use the chaos vocabulary ([`FaultEvent`]) and are quantized to
+//! barriers. At a barrier the orchestrator installs each channel fault on
+//! its scheduler (transmit side), and every shard applies the same events
+//! through [`SensorNetwork::apply_fault`]: channel faults on its own
+//! medium (delivery masking, burst chains), node faults only on the
+//! owning shard, and `Heal`'s anti-entropy kick only from owned replicas.
 //!
 //! ## Why the result is shard-count invariant
 //!
@@ -73,26 +82,26 @@
 //! zero latency and every node owned, so the only thing that makes a
 //! sharded run its *own* golden family is the uniform `+L` pipeline
 //! latency (and the barrier-quantized faults that come with epochs): it is
-//! byte-identical across shard counts and medium modes, not to the
-//! monolithic golden.
+//! byte-identical across shard counts, not to the monolithic golden.
 //! `kernel.events` is stripped from the merged telemetry (event counts are
 //! not partition-additive), and trace events are excluded entirely.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use std::sync::{mpsc, Arc};
 
-use envirotrack_net::medium::{GilbertElliott, LinkFaults, Medium, NetStats, ResolvedTx, TxKey};
+use envirotrack_net::medium::{Medium, NetStats, ResolvedTx, TxKey};
 use envirotrack_net::packet::{Frame, FrameKind};
 use envirotrack_sim::rng::SimRng;
-use envirotrack_sim::time::{SimDuration, Timestamp};
-use envirotrack_telemetry::Telemetry;
+use envirotrack_sim::time::Timestamp;
+use envirotrack_telemetry::{LogLinearHistogram, Telemetry};
 use envirotrack_world::field::{Deployment, NodeId};
 use envirotrack_world::grid::shard_interest_ranges;
 use envirotrack_world::sensing::Environment;
 
 use crate::api::Program;
+use crate::fault::FaultEvent;
 use crate::network::{NetworkConfig, SensorNetwork};
-use crate::report::{json, RunRecord};
+use crate::report::{telemetry_to_jsonl, RunRecord};
 
 /// One captured transmit request, exchanged across shards at epoch
 /// barriers. `(at, src, seq)` is a total order over all intents of a run:
@@ -117,62 +126,33 @@ impl OutIntent {
     }
 }
 
-/// How resolved transmissions are routed to shards.
+/// How resolved transmissions are routed to shards. Interest routing is
+/// the only mode; the type stays so existing `run_sharded` callers keep
+/// compiling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MediumMode {
-    /// Every resolved transmission goes to every shard (the full-replay
-    /// baseline: N× channel work, kept as the differential reference).
-    Replicated,
     /// Each resolved transmission goes only to the shards whose owned
     /// cells its radio footprint can reach (plus the sender's owner).
     Partitioned,
 }
 
-impl MediumMode {
-    /// Parses the CLI spelling (`replicated` / `partitioned`).
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "replicated" => Some(MediumMode::Replicated),
-            "partitioned" => Some(MediumMode::Partitioned),
-            _ => None,
-        }
-    }
-
-    /// The CLI spelling.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            MediumMode::Replicated => "replicated",
-            MediumMode::Partitioned => "partitioned",
-        }
-    }
-}
-
-impl std::fmt::Display for MediumMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
 /// Replay-work and buffer-reuse accounting for one sharded run. These are
-/// *diagnostics across the sharding machinery* — `routed`/`skipped`/
-/// `broadcast` depend on the shard count and medium mode by construction,
-/// so they live here and in BENCH output, never in the byte-compared
-/// merged telemetry. (`tail_dropped` *is* invariant and is also surfaced
-/// as the `shard.intents.tail_dropped` counter.)
+/// *diagnostics across the sharding machinery* — `routed`/`skipped`
+/// depend on the shard count by construction, so they live here and in
+/// BENCH output, never in the byte-compared merged telemetry.
+/// (`tail_dropped` *is* invariant and is also surfaced as the
+/// `shard.intents.tail_dropped` counter.)
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IntentStats {
     /// Intents collected across all barriers (the merged batch total).
     pub merged: u64,
     /// Intents that survived MAC admission on the central scheduler.
     pub resolved: u64,
-    /// Shard deliveries routed by interest (partitioned mode).
+    /// Shard replay deliveries routed by interest: the channel work
+    /// interest routing keeps below `shards × resolved`.
     pub routed: u64,
-    /// Shard deliveries skipped as out-of-footprint (partitioned mode).
+    /// Shard deliveries skipped as out-of-footprint.
     pub skipped: u64,
-    /// Shard deliveries sent to every shard (replicated mode).
-    pub broadcast: u64,
     /// Intents requested after the last barrier and never exchanged (the
     /// final partial epoch; counted, asserted fresh, and shard-count
     /// invariant).
@@ -188,26 +168,10 @@ pub struct IntentStats {
     pub resolved_buf_allocs: u64,
 }
 
-impl IntentStats {
-    /// Total shard replay deliveries (`routed + broadcast`): the work the
-    /// tentpole reduces. Partitioned mode must keep this strictly below
-    /// `shards × merged`.
-    #[must_use]
-    pub fn replayed(&self) -> u64 {
-        self.routed + self.broadcast
-    }
-}
-
 /// Per-world sharding state, attached to a `SensorNetwork` built with
 /// [`SensorNetwork::build_engine_sharded`].
 #[derive(Debug)]
 pub struct ShardState {
-    /// This shard's index in `0..shards`.
-    pub shard_idx: usize,
-    /// Total shard count.
-    pub shards: usize,
-    /// The epoch length `L` (also the uniform transmit pipeline latency).
-    pub latency: SimDuration,
     outbox: Vec<OutIntent>,
     next_seq: Vec<u64>,
     /// Keys of ingested transmissions at least one owned receiver heard
@@ -222,11 +186,8 @@ pub struct ShardState {
 impl ShardState {
     /// Fresh state for one shard of a run over `nodes` nodes.
     #[must_use]
-    pub fn new(shard_idx: usize, shards: usize, nodes: usize, latency: SimDuration) -> Self {
+    pub fn new(nodes: usize) -> Self {
         ShardState {
-            shard_idx,
-            shards,
-            latency,
             outbox: Vec::new(),
             next_seq: vec![0; nodes],
             delivered: Vec::new(),
@@ -294,38 +255,13 @@ impl ShardState {
     }
 }
 
-/// A fault applied at an epoch barrier of a sharded run. Channel-level
-/// faults install on the orchestrator's medium *and* on every shard's
-/// (orchestrator: carrier sensing and garbling; shards: delivery masking
-/// and burst chains); node-level faults apply only on the owning shard,
-/// because only that shard drives the node.
-#[derive(Debug, Clone)]
-pub enum ShardFault {
-    /// Install a partition mask (group byte per node).
-    Partition(Vec<u8>),
-    /// Heal the partition.
-    ClearPartition,
-    /// Install Gilbert–Elliott burst loss.
-    BurstLossOn(GilbertElliott),
-    /// Remove burst loss.
-    BurstLossOff,
-    /// Install link-level fault injection.
-    LinkFaultsOn(LinkFaults),
-    /// Remove link-level fault injection.
-    LinkFaultsOff,
-    /// Kill a node (applied on its owning shard).
-    Crash(NodeId),
-    /// Revive a node and restart its sensing loop (owning shard).
-    Revive(NodeId),
-}
-
 /// The merged result of a sharded run.
 #[derive(Debug, Clone)]
 pub struct ShardedRun {
     /// Run record with event-log counts summed across shards and channel
     /// fields recomputed from the combined scheduler + shard statistics.
     pub record: RunRecord,
-    /// Merged telemetry in `telemetry_to_jsonl` format: counters then
+    /// Merged telemetry rendered by `telemetry_to_jsonl`: counters then
     /// histograms, name-sorted; `kernel.events` stripped, traces excluded,
     /// channel counters derived from the combined statistics.
     pub telemetry_jsonl: String,
@@ -342,20 +278,12 @@ pub struct ShardedRun {
 struct ShardOutput {
     record: RunRecord,
     counters: Vec<(String, u64)>,
-    hists: Vec<HistSnapshot>,
+    hists: Vec<(String, LogLinearHistogram)>,
     events: u64,
     net: NetStats,
     delivered: Vec<TxKey>,
     tail_dropped: u64,
     outbox_allocs: u64,
-}
-
-struct HistSnapshot {
-    name: String,
-    count: u64,
-    sum: u128,
-    max: u64,
-    buckets: Vec<(u64, u64)>,
 }
 
 enum Cmd {
@@ -367,7 +295,7 @@ enum Cmd {
     Inject {
         barrier: Timestamp,
         resolved: Vec<ResolvedTx>,
-        faults: Vec<ShardFault>,
+        faults: Vec<FaultEvent>,
         outbox: Vec<OutIntent>,
     },
     /// Run to the horizon and send the final output back. `last_barrier`
@@ -381,23 +309,25 @@ enum Cmd {
 
 enum Resp {
     Epoch {
-        idx: usize,
         outbox: Vec<OutIntent>,
         delivered: Vec<TxKey>,
         spare: Option<Vec<ResolvedTx>>,
     },
-    Done(usize, Box<ShardOutput>),
+    Done(Box<ShardOutput>),
 }
 
 /// Runs one simulation split over `shards` threads in lock-step epochs and
 /// merges the result. With identical inputs the output is byte-identical
-/// for every `shards >= 1` and for either [`MediumMode`]; `faults` are
-/// quantized to the first barrier at or after their nominal time (faults
-/// at or past `horizon` never fire).
+/// for every `shards >= 1`. `faults` are quantized to the first barrier at
+/// or after their nominal time; barriers run strictly before `horizon`, so
+/// a fault after the last barrier never fires. `mode` has one value,
+/// [`MediumMode::Partitioned`].
 ///
 /// # Panics
 ///
-/// Panics if `shards` is zero or a shard thread dies mid-run.
+/// Panics if `shards` is zero or a shard thread panics: each shard answers
+/// on its own channel, so a dead shard's closed channel fails the
+/// orchestrator's next receive instead of leaving it waiting forever.
 #[must_use]
 #[allow(clippy::too_many_arguments)] // one call site family; a params struct would just rename them
 pub fn run_sharded(
@@ -408,35 +338,30 @@ pub fn run_sharded(
     seed: u64,
     shards: usize,
     horizon: Timestamp,
-    faults: &[(Timestamp, ShardFault)],
+    faults: &[(Timestamp, FaultEvent)],
     mode: MediumMode,
 ) -> ShardedRun {
     assert!(shards >= 1, "at least one shard is required");
+    let MediumMode::Partitioned = mode;
     let epoch = config.radio.epoch_latency();
-    let mut schedule: Vec<(Timestamp, ShardFault)> = faults.to_vec();
+    let mut schedule: Vec<(Timestamp, FaultEvent)> = faults.to_vec();
     schedule.sort_by_key(|(t, _)| *t);
 
     // The central transmit side: one medium resolving every merged intent
-    // exactly once, and — in partitioned mode — the per-source interest
-    // ranges that bound each transmission's audience.
+    // exactly once, and the per-source interest ranges that bound each
+    // transmission's audience.
     let sched_rng = SimRng::seed_from(seed).fork("shard-scheduler");
     let mut scheduler = Medium::new(deployment, config.radio.clone(), &sched_rng);
-    let interest = match mode {
-        MediumMode::Partitioned => Some(shard_interest_ranges(
-            deployment,
-            config.radio.comm_radius,
-            shards,
-        )),
-        MediumMode::Replicated => None,
-    };
+    let interest = shard_interest_ranges(deployment, config.radio.comm_radius, shards);
 
     std::thread::scope(|scope| {
-        let (resp_tx, resp_rx) = mpsc::channel::<Resp>();
         let mut cmd_txs = Vec::with_capacity(shards);
+        let mut resp_rxs = Vec::with_capacity(shards);
         for idx in 0..shards {
             let (cmd_tx, cmd_rx) = mpsc::channel::<Cmd>();
+            let (resp, resp_rx) = mpsc::channel::<Resp>();
             cmd_txs.push(cmd_tx);
-            let resp = resp_tx.clone();
+            resp_rxs.push(resp_rx);
             let program = Arc::clone(program);
             let deployment = deployment.clone();
             let environment = environment.clone();
@@ -459,7 +384,6 @@ pub fn run_sharded(
                             let delivered = engine.world_mut().drain_shard_delivered();
                             let spare = engine.world_mut().take_shard_spare();
                             resp.send(Resp::Epoch {
-                                idx,
                                 outbox,
                                 delivered,
                                 spare,
@@ -482,7 +406,7 @@ pub fn run_sharded(
                                 barrier,
                                 move |w: &mut SensorNetwork, k| {
                                     for f in &faults {
-                                        w.apply_shard_fault(k, f);
+                                        w.apply_fault(k, f);
                                     }
                                     w.inject_shard_resolved(k, resolved);
                                 },
@@ -514,7 +438,14 @@ pub fn run_sharded(
                             let world = engine.world();
                             let record =
                                 world.run_record(seed, horizon - Timestamp::ZERO, 0);
-                            let (counters, hists) = snapshot_metrics(world.telemetry());
+                            let (counters, hists) = world.telemetry().with_registry(|r| {
+                                (
+                                    r.counters().map(|(n, v)| (n.to_owned(), v)).collect(),
+                                    r.histograms()
+                                        .map(|(n, h)| (n.to_owned(), h.clone()))
+                                        .collect(),
+                                )
+                            });
                             let out = ShardOutput {
                                 record,
                                 counters,
@@ -525,7 +456,7 @@ pub fn run_sharded(
                                 tail_dropped: tail.len() as u64,
                                 outbox_allocs: world.shard_outbox_allocs(),
                             };
-                            resp.send(Resp::Done(idx, Box::new(out)))
+                            resp.send(Resp::Done(Box::new(out)))
                                 .expect("the orchestrator outlives its shards");
                             break;
                         }
@@ -533,7 +464,6 @@ pub fn run_sharded(
                 }
             });
         }
-        drop(resp_tx);
 
         let mut intents = IntentStats::default();
         let mut batch: Vec<OutIntent> = Vec::new();
@@ -551,10 +481,9 @@ pub fn run_sharded(
                 tx.send(Cmd::Advance(barrier)).expect("shard thread alive");
             }
             batch.clear();
-            for _ in 0..shards {
-                match resp_rx.recv().expect("shard thread alive") {
+            for (idx, rx) in resp_rxs.iter().enumerate() {
+                match rx.recv().expect("shard thread alive") {
                     Resp::Epoch {
-                        idx,
                         outbox,
                         delivered: keys,
                         spare,
@@ -588,13 +517,7 @@ pub fn run_sharded(
             // Channel faults bite the transmit side here, at the same
             // quantized barrier the shards apply them (receiver side).
             for f in &due {
-                match f {
-                    ShardFault::Partition(groups) => scheduler.set_partition(Some(groups.clone())),
-                    ShardFault::ClearPartition => scheduler.set_partition(None),
-                    ShardFault::LinkFaultsOn(lf) => scheduler.set_link_faults(Some(*lf)),
-                    ShardFault::LinkFaultsOff => scheduler.set_link_faults(None),
-                    _ => {}
-                }
+                f.apply_to_channel(&mut scheduler);
             }
             for buf in &mut routes {
                 if buf.capacity() == 0 {
@@ -608,27 +531,16 @@ pub fn run_sharded(
             // route each resolved transmission to its interested shards.
             for intent in batch.drain(..) {
                 let at = intent.at + epoch;
-                let src_idx = intent.src.index();
+                let (lo, hi) = interest[intent.src.index()];
                 let Some(rtx) = scheduler.resolve(at, intent.seq, intent.frame) else {
                     continue; // MAC drop, decided once for everyone
                 };
                 intents.resolved += 1;
                 pending.push((rtx.completes_at, rtx.key(), rtx.frame.kind));
-                match &interest {
-                    None => {
-                        intents.broadcast += shards as u64;
-                        for buf in &mut routes {
-                            buf.push(rtx.clone());
-                        }
-                    }
-                    Some(ranges) => {
-                        let (lo, hi) = ranges[src_idx];
-                        intents.routed += (hi - lo + 1) as u64;
-                        intents.skipped += (shards - (hi - lo + 1)) as u64;
-                        for buf in &mut routes[lo..=hi] {
-                            buf.push(rtx.clone());
-                        }
-                    }
+                intents.routed += (hi - lo + 1) as u64;
+                intents.skipped += (shards - (hi - lo + 1)) as u64;
+                for buf in &mut routes[lo..=hi] {
+                    buf.push(rtx.clone());
                 }
             }
             for (idx, tx) in cmd_txs.iter().enumerate() {
@@ -650,16 +562,12 @@ pub fn run_sharded(
             })
             .expect("shard thread alive");
         }
-        let mut outputs: Vec<Option<Box<ShardOutput>>> = (0..shards).map(|_| None).collect();
-        for _ in 0..shards {
-            match resp_rx.recv().expect("shard thread alive") {
-                Resp::Done(idx, out) => outputs[idx] = Some(out),
+        let outputs: Vec<ShardOutput> = resp_rxs
+            .iter()
+            .map(|rx| match rx.recv().expect("shard thread alive") {
+                Resp::Done(out) => *out,
                 Resp::Epoch { .. } => unreachable!("every shard got Finish"),
-            }
-        }
-        let outputs: Vec<ShardOutput> = outputs
-            .into_iter()
-            .map(|o| *o.expect("every shard reported"))
+            })
             .collect();
         // Final loss verdicts: everything completing by the horizon, with
         // the tail deliveries the shards reported at Finish.
@@ -700,95 +608,39 @@ fn settle_lost(
     });
 }
 
-/// Snapshots a registry's counters and histograms into `Send`-able form.
-fn snapshot_metrics(telemetry: &Telemetry) -> (Vec<(String, u64)>, Vec<HistSnapshot>) {
-    telemetry.with_registry(|r| {
-        let counters = r
-            .counters()
-            .map(|(name, v)| (name.to_owned(), v))
-            .collect();
-        let hists = r
-            .histograms()
-            .map(|(name, h)| HistSnapshot {
-                name: name.to_owned(),
-                count: h.count(),
-                sum: h.sum(),
-                max: h.max(),
-                buckets: h.iter().collect(),
-            })
-            .collect();
-        (counters, hists)
-    })
-}
-
 /// Merges per-shard outputs: counters and histograms sum (ownership
 /// partitions node activity), channel counters and the run record's
 /// channel fields are derived from the combined scheduler + shard
 /// statistics, and the run record sums its event-log counts.
 fn merge_outputs(outputs: Vec<ShardOutput>, net: &NetStats, intents: IntentStats) -> ShardedRun {
-    let mut counters: BTreeMap<String, u64> = BTreeMap::new();
-    let mut hists: BTreeMap<String, (u64, u128, u64, BTreeMap<u64, u64>)> = BTreeMap::new();
+    let telemetry = Telemetry::new();
     let mut events = 0u64;
     for out in &outputs {
         events += out.events;
         for (name, v) in &out.counters {
             // Kernel event counts vary with routing (each ingested
             // transmission is one event); they are diagnostic, not output.
-            if name == "kernel.events" {
-                continue;
+            if name != "kernel.events" {
+                telemetry.add(name, *v);
             }
-            *counters.entry(name.clone()).or_insert(0) += v;
         }
-        for h in &out.hists {
-            let entry = hists
-                .entry(h.name.clone())
-                .or_insert_with(|| (0, 0, 0, BTreeMap::new()));
-            entry.0 += h.count;
-            entry.1 += h.sum;
-            entry.2 = entry.2.max(h.max);
-            for (low, c) in &h.buckets {
-                *entry.3.entry(*low).or_insert(0) += c;
-            }
+        for (name, h) in &out.hists {
+            telemetry.merge_histogram(name, h);
         }
     }
     // Channel counters, derived from the combined statistics exactly where
-    // a monolithic medium would have recorded them. Presence matches the
-    // old lazy registration: a kind appears once it transmits or MAC-drops.
+    // a monolithic medium would have recorded them (shards never resolve or
+    // settle, so no shard registers these names). Presence matches the
+    // lazy registration: a kind appears once it transmits or MAC-drops.
     for (kind, ks) in &net.per_kind {
-        counters.insert(format!("net.k{kind}.tx"), ks.tx);
-        counters.insert(format!("net.k{kind}.lost"), ks.tx_lost);
-        counters.insert(format!("net.k{kind}.mac_drop"), ks.mac_dropped);
-        counters.insert(format!("net.k{kind}.bytes"), ks.bytes_on_air);
+        telemetry.add(&format!("net.k{kind}.tx"), ks.tx);
+        telemetry.add(&format!("net.k{kind}.lost"), ks.tx_lost);
+        telemetry.add(&format!("net.k{kind}.mac_drop"), ks.mac_dropped);
+        telemetry.add(&format!("net.k{kind}.bytes"), ks.bytes_on_air);
     }
-    // Invariant across shard counts and medium modes (every tail intent is
-    // captured by exactly one owner), so it belongs in the compared bytes.
-    counters.insert("shard.intents.tail_dropped".to_owned(), intents.tail_dropped);
-
-    let mut jsonl = String::new();
-    for (name, v) in &counters {
-        jsonl.push_str(
-            &json::JsonObject::new()
-                .field_str("t", "counter")
-                .field_str("name", name)
-                .field_u64("value", *v)
-                .finish(),
-        );
-        jsonl.push('\n');
-    }
-    for (name, (count, sum, max, buckets)) in &hists {
-        let rendered: Vec<String> = buckets.iter().map(|(low, c)| format!("{low}:{c}")).collect();
-        jsonl.push_str(
-            &json::JsonObject::new()
-                .field_str("t", "hist")
-                .field_str("name", name)
-                .field_u64("count", *count)
-                .field_u64("sum", u64::try_from(*sum).unwrap_or(u64::MAX))
-                .field_u64("max", *max)
-                .field_str("buckets", &rendered.join(" "))
-                .finish(),
-        );
-        jsonl.push('\n');
-    }
+    // Invariant across shard counts (every tail intent is captured by
+    // exactly one owner), so it belongs in the compared bytes.
+    telemetry.add("shard.intents.tail_dropped", intents.tail_dropped);
 
     let mut record = outputs[0].record.clone();
     for out in &outputs[1..] {
@@ -809,7 +661,7 @@ fn merge_outputs(outputs: Vec<ShardOutput>, net: &NetStats, intents: IntentStats
     record.mac_dropped = net.sum(|k| k.mac_dropped);
     ShardedRun {
         record,
-        telemetry_jsonl: jsonl,
+        telemetry_jsonl: telemetry_to_jsonl(&telemetry),
         events_processed: events,
         intents,
     }

@@ -108,6 +108,16 @@ impl LogLinearHistogram {
         self.max = self.max.max(v);
     }
 
+    /// Folds `other`'s observations in, as if each had been recorded here.
+    pub fn merge(&mut self, other: &LogLinearHistogram) {
+        for (i, c) in &other.buckets {
+            *self.buckets.entry(*i).or_insert(0) += c;
+        }
+        self.count += other.count;
+        self.sum += other.sum;
+        self.max = self.max.max(other.max);
+    }
+
     /// Number of observations.
     #[must_use]
     pub fn count(&self) -> u64 {
@@ -407,6 +417,17 @@ impl Telemetry {
             .record(v);
     }
 
+    /// Folds a whole histogram into the named one (registering it if
+    /// absent) — how per-thread registries merge into one.
+    pub fn merge_histogram(&self, name: &str, h: &LogLinearHistogram) {
+        self.inner
+            .borrow_mut()
+            .histograms
+            .entry(name.to_owned())
+            .or_default()
+            .merge(h);
+    }
+
     /// Appends a trace event, dropping (and counting) the oldest past the
     /// ring bound. Allocates a fresh shared label; hot paths that reuse
     /// one label should intern it and call [`Telemetry::trace_shared`].
@@ -566,6 +587,29 @@ mod tests {
         // 1→one bucket, 2→one bucket (count 2), 100 and 1000 separate.
         assert_eq!(buckets.len(), 4);
         assert_eq!(buckets[1], (2, 2));
+    }
+
+    #[test]
+    fn merged_histograms_equal_one_recording_of_both_streams() {
+        let (a_vals, b_vals) = ([0u64, 3, 5, 9, 1000], [3u64, 7, 9, 65_537]);
+        let mut a = LogLinearHistogram::default();
+        let mut b = LogLinearHistogram::default();
+        let mut both = LogLinearHistogram::default();
+        for v in a_vals {
+            a.record(v);
+            both.record(v);
+        }
+        for v in b_vals {
+            b.record(v);
+            both.record(v);
+        }
+        let t = Telemetry::new();
+        t.merge_histogram("h", &a);
+        t.merge_histogram("h", &b);
+        t.with_registry(|r| assert_eq!(r.histogram("h"), Some(&both)));
+        a.merge(&LogLinearHistogram::default());
+        b.merge(&a);
+        assert_eq!(b, both, "merge is order-insensitive and empty is neutral");
     }
 
     #[test]

@@ -399,6 +399,21 @@ mod tests {
     }
 
     #[test]
+    fn one_shard_interest_ranges_are_all_zero() {
+        // The sharded kernel's full-replay reference is the one-shard run:
+        // every transmission must route to shard 0 and nowhere else.
+        for (d, radius) in [
+            (Deployment::grid(20, 20, 1.0), 2.5),
+            (Deployment::grid(40, 4, 1.0), 1.5),
+            (Deployment::grid(3, 3, 10.0), 0.5),
+        ] {
+            let ranges = shard_interest_ranges(&d, radius, 1);
+            assert_eq!(ranges.len(), d.len());
+            assert!(ranges.iter().all(|&r| r == (0, 0)), "{ranges:?}");
+        }
+    }
+
+    #[test]
     fn negative_coordinates_are_handled() {
         let d = Deployment::from_positions(vec![
             Point::new(-5.0, -5.0),
